@@ -1,7 +1,9 @@
 //! # ember-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! `src/bin/`) plus Criterion micro-benchmarks (see `benches/`).
+//! `src/bin/`) plus Criterion micro-benchmarks (see `benches/`). The
+//! serving stack's end-to-end and per-layer performance is measured by
+//! the repository benchmark in `benchmark/`, not here.
 //!
 //! Every binary accepts:
 //!
@@ -11,10 +13,7 @@
 //! * `--json` — also emit machine-readable results on stdout.
 //!
 //! Each prints the paper's reported values next to the measured ones so
-//! the reproduction can be judged line by line (EXPERIMENTS.md records a
-//! snapshot).
-
-pub mod trajectory;
+//! the reproduction can be judged line by line.
 
 use ndarray::Array2;
 use rand::rngs::StdRng;

@@ -133,9 +133,9 @@ impl BipartiteBrim {
 
     /// Enables (or disables) the dense `(m+n)²` reference kernel: the
     /// local field is then computed through the full embedded coupling
-    /// matrix instead of the two small GEMVs. Kept as the measured
-    /// baseline of the `bench_pr1` harness and the kernel-equivalence
-    /// tests — both kernels produce identical trajectories.
+    /// matrix instead of the two small GEMVs. Kept as the reference the
+    /// kernel-equivalence tests compare against — both kernels produce
+    /// identical trajectories.
     #[must_use]
     pub fn with_dense_kernel(mut self, dense: bool) -> Self {
         self.dense = if dense {

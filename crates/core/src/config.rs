@@ -1,21 +1,6 @@
 use ember_analog::{Comparator, NoiseModel, SigmoidUnit};
 use serde::{Deserialize, Serialize};
 
-/// Which host-side execution engine the Gibbs-sampler accelerator model
-/// uses for a minibatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GsEngine {
-    /// The parallel batched engine: per-row chains fan out across the
-    /// rayon pool on per-row RNG streams, gradients accumulate through
-    /// batched GEMMs.
-    #[default]
-    Batched,
-    /// The original row-at-a-time scalar engine (element-wise outer
-    /// products). Kept as the measured baseline of the `bench_pr1`
-    /// harness and the equivalence tests.
-    SerialReference,
-}
-
 /// Which GEMM kernel the software substrates use for the binary-state
 /// products of the sampling hot path (`states · W`, `states · Wᵀ`).
 ///
@@ -34,8 +19,8 @@ pub enum GsKernel {
     /// dense GEMM per call.
     #[default]
     Packed,
-    /// Always the dense GEMM — the measured baseline of the
-    /// `bench_pr4` `packed-kernel` suite.
+    /// Always the dense GEMM — the reference the packed kernel is
+    /// tested against.
     Dense,
 }
 
@@ -68,7 +53,6 @@ pub struct GsConfig {
     noise: NoiseModel,
     dtc_bits: u32,
     settle_phase_points: u64,
-    engine: GsEngine,
     kernel: GsKernel,
 }
 
@@ -108,11 +92,6 @@ impl GsConfig {
     /// Phase points one clamped settle takes (feeds the perf model).
     pub fn settle_phase_points(&self) -> u64 {
         self.settle_phase_points
-    }
-
-    /// The host-side execution engine.
-    pub fn engine(&self) -> GsEngine {
-        self.engine
     }
 
     /// The GEMM kernel of the binary-state sampling hot path.
@@ -177,13 +156,6 @@ impl GsConfig {
         self
     }
 
-    /// Returns a copy with the given execution engine.
-    #[must_use]
-    pub fn with_engine(mut self, engine: GsEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Returns a copy with the given sampling GEMM kernel (samples are
     /// bit-identical either way; see [`GsKernel`]).
     #[must_use]
@@ -218,7 +190,6 @@ impl Default for GsConfig {
             noise: NoiseModel::noiseless(),
             dtc_bits: 8,
             settle_phase_points: 50,
-            engine: GsEngine::Batched,
             kernel: GsKernel::Packed,
         }
     }

@@ -1,10 +1,9 @@
-use ndarray::{Array1, Array2, Axis};
+use ndarray::{Array2, Axis};
 use rand::{Rng, RngCore};
 
 use ember_rbm::{EpochStats, Rbm};
 use ember_substrate::{HardwareCounters, Substrate};
 
-use crate::config::GsEngine;
 use crate::substrate::SoftwareGibbs;
 use crate::GsConfig;
 
@@ -176,26 +175,14 @@ impl<S: Substrate> GibbsSampler<S> {
         EpochStats::accumulate(&collected)
     }
 
-    fn train_batch<R: Rng + ?Sized>(&mut self, batch: &Array2<f64>, rng: &mut R) -> (f64, f64) {
-        match self.config.engine() {
-            GsEngine::Batched => self.train_batch_batched(batch, rng),
-            GsEngine::SerialReference => self.train_batch_serial(batch, rng),
-        }
-    }
-
-    /// The batched engine: the whole minibatch of substrate chains runs
-    /// at once — one [`Substrate::sample_hidden_batch`] /
+    /// Trains on one minibatch. All of its substrate chains run at once:
+    /// one [`Substrate::sample_hidden_batch`] /
     /// [`Substrate::sample_visible_batch`] call per conditional-sampling
     /// step, and the gradient accumulates through two GEMMs (`v⁺ᵀh⁺`,
-    /// `v⁻ᵀh⁻`) instead of `batch` element-wise outer products. With the
-    /// default [`SoftwareGibbs`] backend every sampling step is a single
-    /// GEMM over the `batch × layer` matrix; results are bit-identical
-    /// at every rayon thread count.
-    fn train_batch_batched<R: Rng + ?Sized>(
-        &mut self,
-        batch: &Array2<f64>,
-        rng: &mut R,
-    ) -> (f64, f64) {
+    /// `v⁻ᵀh⁻`). With the default [`SoftwareGibbs`] backend every
+    /// sampling step is a single GEMM over the `batch × layer` matrix;
+    /// results are bit-identical at every rayon thread count.
+    fn train_batch<R: Rng + ?Sized>(&mut self, batch: &Array2<f64>, rng: &mut R) -> (f64, f64) {
         let mut rng = rng;
         let rng: &mut dyn RngCore = &mut rng;
         let (m, n) = self.rbm.weights().dim();
@@ -239,85 +226,6 @@ impl<S: Substrate> GibbsSampler<S> {
 
         let recon = (&v_neg - batch).mapv(f64::abs).mean().unwrap_or(0.0);
         (recon, grad_norm)
-    }
-
-    /// The original row-at-a-time scalar engine (kept as the measured
-    /// baseline; see [`GsEngine::SerialReference`]). Chains flow through
-    /// the substrate's row methods, one sample at a time.
-    fn train_batch_serial<R: Rng + ?Sized>(
-        &mut self,
-        batch: &Array2<f64>,
-        rng: &mut R,
-    ) -> (f64, f64) {
-        let mut rng = rng;
-        let rng: &mut dyn RngCore = &mut rng;
-        let (m, n) = self.rbm.weights().dim();
-        let bs = batch.nrows() as f64;
-        // Step 2: (re)program the current weights.
-        self.program();
-
-        let mut pos_w = Array2::<f64>::zeros((m, n));
-        let mut neg_w = Array2::<f64>::zeros((m, n));
-        let mut pos_bv = Array1::<f64>::zeros(m);
-        let mut neg_bv = Array1::<f64>::zeros(m);
-        let mut pos_bh = Array1::<f64>::zeros(n);
-        let mut neg_bh = Array1::<f64>::zeros(n);
-        let mut recon = 0.0;
-
-        // Step 3: clamp the data through the substrate's converter model
-        // once, like the batched engine — fed-back samples are exact
-        // {0, 1}, on which quantization is the identity. (Gradients still
-        // accumulate against the raw data, mirroring the batched path.)
-        let clamped = self.substrate.quantize_batch(batch);
-
-        for (v_row, clamped_row) in batch.rows().zip(clamped.rows()) {
-            let v_pos = v_row.to_owned();
-            // Steps 3–4: positive phase on the substrate.
-            let h_pos = self.substrate.sample_hidden_row(&clamped_row, rng);
-            self.substrate.counters_mut().positive_samples += 1;
-
-            // Steps 5–6: k-step Gibbs equivalent on the substrate.
-            let mut h_neg = h_pos.clone();
-            let mut v_neg = v_pos.clone();
-            for _ in 0..self.config.k() {
-                v_neg = self.substrate.sample_visible_row(&h_neg.view(), rng);
-                h_neg = self.substrate.sample_hidden_row(&v_neg.view(), rng);
-            }
-            self.substrate.counters_mut().negative_samples += 1;
-
-            // Step 7/8 accumulation on the host.
-            accumulate_outer(&mut pos_w, &v_pos, &h_pos);
-            accumulate_outer(&mut neg_w, &v_neg, &h_neg);
-            pos_bv += &v_pos;
-            neg_bv += &v_neg;
-            pos_bh += &h_pos;
-            neg_bh += &h_neg;
-            self.substrate.counters_mut().host_mac_ops += 2 * (m * n) as u64;
-
-            recon += (&v_neg - &v_pos).mapv(f64::abs).sum() / m as f64;
-        }
-
-        // Step 8: host gradient update.
-        let alpha = self.config.learning_rate();
-        let grad_w = (&pos_w - &neg_w) / bs;
-        let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
-        *self.rbm.weights_mut() += &(&grad_w * alpha);
-        *self.rbm.visible_bias_mut() += &(&(&pos_bv - &neg_bv) * (alpha / bs));
-        *self.rbm.hidden_bias_mut() += &(&(&pos_bh - &neg_bh) * (alpha / bs));
-        self.substrate.counters_mut().host_mac_ops += (m * n + m + n) as u64;
-
-        (recon / bs, grad_norm)
-    }
-}
-
-fn accumulate_outer(acc: &mut Array2<f64>, v: &Array1<f64>, h: &Array1<f64>) {
-    for (i, &vi) in v.iter().enumerate() {
-        if vi == 0.0 {
-            continue;
-        }
-        for (j, &hj) in h.iter().enumerate() {
-            acc[[i, j]] += vi * hj;
-        }
     }
 }
 
@@ -418,21 +326,5 @@ mod tests {
         let v = Array2::zeros((6, 4));
         let h = sub.sample_hidden_batch(&v, &mut rng);
         assert!(h.iter().all(|&x| x == 1.0), "offset comparator ignored");
-    }
-
-    #[test]
-    fn serial_and_batched_engines_share_substrate_counters() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let rbm = Rbm::random(4, 2, 0.01, &mut rng);
-        let config = GsConfig::default()
-            .with_k(1)
-            .with_engine(GsEngine::SerialReference);
-        let mut gs = GibbsSampler::new(rbm, config, &mut rng);
-        let data = two_mode_data(6, 4);
-        gs.train_epoch(&data, 3, &mut rng);
-        let c = gs.counters();
-        assert_eq!(c.positive_samples, 6);
-        // 1 positive + 2 negative settles per sample at k=1.
-        assert_eq!(c.phase_points, 6 * 3 * 50);
     }
 }

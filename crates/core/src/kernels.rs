@@ -35,7 +35,7 @@
 //! assert_eq!(out, arr2(&[[0.75, 2.0], [0.0, 1.0]]));
 //! ```
 
-use ndarray::{Array1, Array2, ArrayView1};
+use ndarray::{Array2, ArrayView1};
 
 // The SIMD kernel tier lives next to the vendored GEMM it accelerates
 // (`ndarray::simd`); re-exported here so substrate code, benches, and
@@ -219,7 +219,7 @@ const BLOCK_MIN_ROWS: usize = 8;
 
 /// Whether the transposed-mask block kernel beats the per-row stream
 /// for this product shape — empirical dispatch for the L2-resident
-/// regime (measured on the BENCH_PR7 shapes). The block scatter wins
+/// regime (measured at 784×200 and 108×1024). The block scatter wins
 /// when the output rows are short enough that the per-row weight
 /// stream is stride-bound but long enough to amortize the per-weight-row
 /// mask walk, the fan-in is tall enough that deduplicating the weight
@@ -322,8 +322,7 @@ pub fn binary_gemm(
 /// The scalar row-loop reference kernel: `out[r][j] = Σ_i states[r][i] ·
 /// W[i][j] (+ bias[j])`, fan-in terms accumulated in ascending index
 /// order, zero terms *included*. This is the summation order of the
-/// seed's row-at-a-time sampling strategy
-/// (`AnalogSampler::sample_layer_reference`), kept here as the pinned
+/// original row-at-a-time sampling strategy, kept here as the pinned
 /// ground truth the packed kernel is property-tested against.
 ///
 /// # Panics
@@ -361,80 +360,6 @@ pub fn scalar_ref_gemm(
 /// callers may skip quantization entirely for binary feedback).
 pub fn is_binary(batch: &Array2<f64>) -> bool {
     batch.iter().all(|&x| x == 0.0 || x == 1.0)
-}
-
-/// The serial per-chain local-field kernel: for ONE exactly-binary
-/// input row, `field[j] = Σ_{i : input[i] == 1} w[i][j]` — the weight
-/// rows selected by the set states, accumulated in ascending index
-/// order on the SIMD tier. This is the single-chain counterpart of
-/// [`binary_gemm`], and the piece a serial Gibbs chain actually spends
-/// its time in: no batch exists to amortize a GEMM over, so the only
-/// speedup available is making each row's field evaluation itself
-/// vector-wide. Used by `GsEngine::SerialReference`
-/// (`SoftwareGibbs::sample_hidden_row` / `sample_visible_row`; the
-/// reverse direction passes the cached `Wᵀ`), and mirrored by the
-/// BRIM per-row power-cycle path and the annealer's per-spin sweeps,
-/// which run the same [`ndarray::simd`] primitives through the
-/// vendored GEMV.
-///
-/// Bit-identical to [`scalar_ref_field_row`] — and therefore to the
-/// field loop of `AnalogSampler::sample_layer_reference` — by the
-/// module-docs argument: per output element both sides add the same
-/// terms in the same ascending-`i` order, skipped zero terms are
-/// floating-point no-ops, and `1.0 · w == w`.
-///
-/// Returns `None` when the input row is not exactly binary (multi-bit
-/// DTC gray levels): callers fall back to the dense scalar reference.
-///
-/// # Panics
-///
-/// Panics if `input.len() != w.nrows()`.
-pub fn binary_field_row(input: &ArrayView1<'_, f64>, w: &Array2<f64>) -> Option<Array1<f64>> {
-    let (fan_in, out_width) = w.dim();
-    assert_eq!(input.len(), fan_in, "fan-in mismatch (binary_field_row)");
-    let mut idx: Vec<u32> = Vec::with_capacity(fan_in);
-    for (i, &x) in input.iter().enumerate() {
-        if x == 1.0 {
-            idx.push(i as u32);
-        } else if x != 0.0 {
-            return None;
-        }
-    }
-    let mut field = vec![0.0; out_width];
-    ndarray::simd::sum_selected_rows(&mut field, w.as_slice(), out_width, &idx);
-    Some(Array1::from_vec(field))
-}
-
-/// Scalar reference for [`binary_field_row`]: the field loop of
-/// `AnalogSampler::sample_layer_reference` without the bias term —
-/// `field[j] = Σ_i input[i] · w[i][j]`, ascending `i`, zero terms
-/// included, folded from `+0.0`. Pinned ground truth for the
-/// serial-field proptests.
-///
-/// The fold is written out explicitly rather than via
-/// `Iterator::sum`, which returns a lone term unchanged and so can
-/// yield `-0.0` for a single-fan-in zero input where the fold gives
-/// `+0.0`. The sign of that zero is unobservable in sampled bits
-/// (bias add and sigmoid erase it), but this reference pins *field*
-/// bits exactly.
-///
-/// # Panics
-///
-/// Panics if `input.len() != w.nrows()`.
-pub fn scalar_ref_field_row(input: &ArrayView1<'_, f64>, w: &Array2<f64>) -> Array1<f64> {
-    let (fan_in, out_width) = w.dim();
-    assert_eq!(
-        input.len(),
-        fan_in,
-        "fan-in mismatch (scalar_ref_field_row)"
-    );
-    Array1::from_shape_fn(out_width, |j| {
-        let mut acc = 0.0;
-        for i in 0..fan_in {
-            acc += input[i] * w[[i, j]];
-        }
-        acc
-    })
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ pub mod recovery;
 mod sampler;
 pub mod substrate;
 
-pub use config::{BgfConfig, GsConfig, GsEngine, GsKernel};
+pub use config::{BgfConfig, GsConfig, GsKernel};
 pub use gibbs_sampler::GibbsSampler;
 pub use gradient_follower::BoltzmannGradientFollower;
 pub use kernels::BitMatrix;

@@ -326,40 +326,6 @@ impl AnalogSampler {
         }
     }
 
-    /// Stochastic tail of the serial per-chain node path, over a field
-    /// row precomputed by `kernels::binary_field_row`: bias add, then
-    /// coupler-noise perturbation (when `var` is given) over the whole
-    /// row, then the sigmoid/comparator latch — the exact arithmetic
-    /// *and RNG draw order* of
-    /// [`AnalogSampler::sample_layer_reference`]'s tail (all
-    /// perturbations before any comparator draw), so a serial chain's
-    /// bits are invariant to which field kernel produced the row.
-    pub(crate) fn latch_row(
-        &self,
-        field: &mut Array1<f64>,
-        bias: &ArrayView1<'_, f64>,
-        var: Option<&Array1<f64>>,
-        rng: &mut dyn rand::RngCore,
-    ) {
-        for (f, &b) in field.iter_mut().zip(bias.iter()) {
-            *f += b;
-        }
-        if let Some(var) = var {
-            for (f, &v) in field.iter_mut().zip(var.iter()) {
-                let sigma = (v + 1.0).sqrt(); // +1: unit-scale node noise
-                *f = self.noise.perturb(*f, sigma, rng);
-            }
-        }
-        for f in field.iter_mut() {
-            let p = self.sigmoid.transfer(*f);
-            *f = if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            };
-        }
-    }
-
     /// Shared tail of the batched node path: computes the closed-form
     /// coupler-noise variance from the raw operands, then runs
     /// [`AnalogSampler::latch_batch`].
@@ -416,64 +382,6 @@ impl AnalogSampler {
                 0.0
             };
         }
-    }
-
-    /// Row-at-a-time reference node path with straightforward scalar
-    /// kernels (per-element accumulation vector-matrix product): a
-    /// faithful reimplementation of the seed's row-at-a-time strategy,
-    /// kept as the measured baseline of `GsEngine::SerialReference` and
-    /// the `bench_pr1` harness. Its measured epoch time matches the
-    /// seed path as first built (before the vendored GEMM kernels were
-    /// unrolled and blocked): ~41 ms for a 784×200 batch-64 CD-1 epoch
-    /// on the reference box in both cases. Statistically identical to
-    /// [`AnalogSampler::sample_layer`] / [`AnalogSampler::sample_layer_rev`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn sample_layer_reference<R: Rng + ?Sized>(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        input: &ArrayView1<'_, f64>,
-        rev: bool,
-        rng: &mut R,
-    ) -> Array1<f64> {
-        let (rows, cols) = (weights.nrows(), weights.ncols());
-        let (fan_in, out) = if rev { (cols, rows) } else { (rows, cols) };
-        assert_eq!(fan_in, input.len(), "fan-in mismatch (reference)");
-        assert_eq!(out, bias.len(), "fan-out mismatch (reference)");
-        let at = |i: usize, j: usize| {
-            if rev {
-                weights[[j, i]]
-            } else {
-                weights[[i, j]]
-            }
-        };
-        let mut field = Array1::zeros(out);
-        for j in 0..out {
-            field[j] = (0..fan_in).map(|i| at(i, j) * input[i]).sum::<f64>() + bias[j];
-        }
-        if self.noise.noise_rms() > 0.0 {
-            for j in 0..out {
-                let var_coupler: f64 = (0..fan_in)
-                    .map(|i| {
-                        let c = at(i, j) * input[i];
-                        c * c
-                    })
-                    .sum();
-                let sigma = (var_coupler + 1.0).sqrt();
-                field[j] = self.noise.perturb(field[j], sigma, rng);
-            }
-        }
-        field.mapv(|x| {
-            let p = self.sigmoid.transfer(x);
-            if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            }
-        })
     }
 
     /// Deterministic variant of the weight matrix under frozen variation:

@@ -349,6 +349,52 @@ mod tests {
     }
 
     #[test]
+    fn batch_rows_match_one_row_batches_per_stream() {
+        use rand::Rng as _;
+        // The annealer serves through the trait's default per-row path:
+        // row `i` of a batch-rows call must be the 1-row batch drawn from
+        // stream `i`, and the counters must add up call by call. Binary
+        // rows take the packed kernel, gray rows the dense one.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let problem = BipartiteProblem::new(
+            Array2::from_shape_fn((7, 5), |_| rng.random_range(-1.0..1.0)),
+            ndarray::Array1::from_shape_fn(7, |_| rng.random_range(-0.5..0.5)),
+            ndarray::Array1::from_shape_fn(5, |_| rng.random_range(-0.5..0.5)),
+        )
+        .unwrap();
+        let binary = Array2::from_shape_fn((4, 7), |_| f64::from(rng.random_bool(0.5)));
+        let gray = Array2::from_shape_fn((3, 7), |_| rng.random_range(0.0..1.0));
+        let streams = |rows: usize| -> Vec<rand::rngs::StdRng> {
+            (0..rows as u64)
+                .map(|i| rand::rngs::StdRng::seed_from_u64(500 + i))
+                .collect()
+        };
+        for visible in [binary, gray] {
+            let rows = visible.nrows();
+            let mut batched = AnnealerSubstrate::new(problem.clone());
+            let mut rngs = streams(rows);
+            let mut dyn_rngs: Vec<&mut dyn RngCore> =
+                rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+            let h = batched.sample_hidden_batch_rows(&visible, &mut dyn_rngs);
+            let v = batched.sample_visible_batch_rows(&h, &mut dyn_rngs);
+
+            let mut single = AnnealerSubstrate::new(problem.clone());
+            let mut rngs = streams(rows);
+            for (i, rng) in rngs.iter_mut().enumerate() {
+                let v_in = visible.slice(ndarray::s![i..=i, ..]).to_owned();
+                let h_i = single.sample_hidden_batch(&v_in, rng);
+                assert_eq!(h_i.row(0), h.row(i), "hidden row {i}");
+            }
+            for (i, rng) in rngs.iter_mut().enumerate() {
+                let h_in = h.slice(ndarray::s![i..=i, ..]).to_owned();
+                let v_i = single.sample_visible_batch(&h_in, rng);
+                assert_eq!(v_i.row(0), v.row(i), "visible row {i}");
+            }
+            assert_eq!(batched.counters(), single.counters());
+        }
+    }
+
+    #[test]
     fn reverse_direction_uses_visible_fields() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let problem = BipartiteProblem::new(

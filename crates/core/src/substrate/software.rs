@@ -19,14 +19,12 @@ use crate::{AnalogSampler, GsConfig, GsKernel};
 /// GEMM (same index-order accumulation; zero terms are floating-point
 /// no-ops), so the samples never depend on the kernel choice.
 /// Non-binary batches (multi-bit DTC gray data) and the
-/// [`GsKernel::Dense`] baseline run the dense
-/// [`AnalogSampler::sample_layer_batch`] path; the row methods use the
-/// scalar reference kernels ([`AnalogSampler::sample_layer_reference`]),
-/// preserving the `GsEngine::SerialReference` baseline. The serving
-/// kernels (`sample_hidden_batch_rows` / `sample_visible_batch_rows`)
-/// share the same kernel selection but drive each row's stochastic tail
-/// from its own RNG stream, so a row's bits are invariant to request
-/// coalescing. [`HardwareCounters::packed_kernel_calls`] /
+/// [`GsKernel::Dense`] reference run the dense
+/// [`AnalogSampler::sample_layer_batch`] path. The serving kernels
+/// (`sample_hidden_batch_rows` / `sample_visible_batch_rows`) share the
+/// same kernel selection but drive each row's stochastic tail from its
+/// own RNG stream, so a row's bits are invariant to request coalescing.
+/// [`HardwareCounters::packed_kernel_calls`] /
 /// [`HardwareCounters::dense_kernel_calls`] record which kernel served
 /// each sampling call.
 ///
@@ -215,75 +213,6 @@ impl SoftwareGibbs {
         }
     }
 
-    /// The serial per-chain field product (and, under a noisy front
-    /// end, the coupler-noise variance row) through the SIMD
-    /// selected-row kernel [`crate::kernels::binary_field_row`].
-    /// `None` when the scalar reference must run instead: the dense
-    /// kernel is selected, or the row is not exactly binary.
-    fn packed_row_fields(
-        &self,
-        input: &ArrayView1<'_, f64>,
-        rev: bool,
-    ) -> Option<(Array1<f64>, Option<Array1<f64>>)> {
-        if self.kernel != GsKernel::Packed {
-            return None;
-        }
-        let w = if rev { &self.weights_t } else { &self.weights };
-        let field = crate::kernels::binary_field_row(input, w)?;
-        let var = if self.sampler.noise().noise_rms() > 0.0 {
-            let sq = if rev {
-                self.sq_weights_t.as_ref()
-            } else {
-                self.sq_weights.as_ref()
-            };
-            Some(
-                crate::kernels::binary_field_row(input, sq.expect("cached at program"))
-                    .expect("input already validated binary"),
-            )
-        } else {
-            None
-        };
-        Some((field, var))
-    }
-
-    /// Shared kernel dispatch of the row (serial-chain) sampling entry
-    /// points: the SIMD selected-row field kernel when selected and the
-    /// row is binary, the scalar
-    /// [`AnalogSampler::sample_layer_reference`] otherwise — counted
-    /// either way, and bit-identical either way (same accumulation
-    /// order, same RNG draw order; see [`crate::kernels`]).
-    fn sample_row(
-        &mut self,
-        input: &ArrayView1<'_, f64>,
-        rev: bool,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        let bias = if rev {
-            &self.visible_bias
-        } else {
-            &self.hidden_bias
-        };
-        match self.packed_row_fields(input, rev) {
-            Some((mut field, var)) => {
-                self.counters.packed_kernel_calls += 1;
-                self.sampler
-                    .latch_row(&mut field, &bias.view(), var.as_ref(), rng);
-                field
-            }
-            None => {
-                self.counters.dense_kernel_calls += 1;
-                self.sampler.sample_layer_reference(
-                    &self.weights.view(),
-                    &bias.view(),
-                    input,
-                    rev,
-                    rng,
-                )
-            }
-        }
-    }
-
     /// Per-row-stream counterpart of [`SoftwareGibbs::sample_batch`]
     /// (row `i`'s stochastic tail draws exclusively from `rngs[i]`).
     fn sample_batch_rows(
@@ -411,29 +340,6 @@ impl Substrate for SoftwareGibbs {
     ) -> Array2<f64> {
         let v = self.sample_batch_rows(hidden, true, rngs);
         self.counters.phase_points += hidden.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += v.len() as u64;
-        v
-    }
-
-    fn sample_hidden_row(
-        &mut self,
-        visible: &ArrayView1<'_, f64>,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        let clamped = visible.mapv(|x| self.dtc.convert(x));
-        let h = self.sample_row(&clamped.view(), false, rng);
-        self.counters.phase_points += self.settle_phase_points;
-        self.counters.host_words_transferred += h.len() as u64;
-        h
-    }
-
-    fn sample_visible_row(
-        &mut self,
-        hidden: &ArrayView1<'_, f64>,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        let v = self.sample_row(hidden, true, rng);
-        self.counters.phase_points += self.settle_phase_points;
         self.counters.host_words_transferred += v.len() as u64;
         v
     }

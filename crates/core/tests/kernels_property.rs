@@ -99,7 +99,6 @@ proptest! {
 /// On a scalar host they degenerate to self-consistency and still pass.
 mod simd_tier {
     use super::*;
-    use ember_core::kernels::{binary_field_row, scalar_ref_field_row};
     use ndarray::simd;
 
     /// Weights with order-sensitive magnitudes: any reassociation of
@@ -208,32 +207,6 @@ mod simd_tier {
             let fast_bits: Vec<u64> = fast.iter().map(|x| x.to_bits()).collect();
             let slow_bits: Vec<u64> = slow.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(fast_bits, slow_bits);
-        }
-
-        /// Path (c): the serial per-chain field kernel — SIMD
-        /// selected-row accumulation vs the scalar per-element loop of
-        /// `sample_layer_reference`, at non-lane-multiple output widths
-        /// and both directions (the reverse pass hands in `Wᵀ`).
-        #[test]
-        fn serial_field_simd_matches_scalar_reference(
-            fan_in in 1usize..80,
-            out_pick in 0usize..5,
-            density in 0.0f64..=1.0,
-            seed in any::<u64>(),
-        ) {
-            let out = [1usize, 9, 63, 65, 127][out_pick];
-            let input = binary_batch(1, fan_in, density, seed).row(0).to_owned();
-            let w = weight_matrix(fan_in, out, seed.wrapping_add(3));
-            let fast = binary_field_row(&input.view(), &w).expect("binary row");
-            let slow = scalar_ref_field_row(&input.view(), &w);
-            let fast_bits: Vec<u64> = fast.iter().map(|x| x.to_bits()).collect();
-            let slow_bits: Vec<u64> = slow.iter().map(|x| x.to_bits()).collect();
-            prop_assert_eq!(fast_bits, slow_bits);
-
-            // A non-binary entry refuses the packed path (dense fallback).
-            let mut gray = input.clone();
-            gray[seed as usize % fan_in] = 0.5;
-            prop_assert!(binary_field_row(&gray.view(), &w).is_none());
         }
 
         /// The four SIMD slice primitives themselves, dispatched vs

@@ -36,7 +36,7 @@
 //!   and `POST /v1/admin/snapshot` (seal a snapshot on demand).
 //! * [`Client`] — a small blocking client speaking both encodings,
 //!   used by the integration tests, the `http_service` example and the
-//!   `http-edge` bench dimension. [`Client::with_retry`] layers a
+//!   repository benchmark. [`Client::with_retry`] layers a
 //!   seeded [`RetryPolicy`](ember_core::RetryPolicy) over every call:
 //!   `429` backpressure is always retried honoring the server's
 //!   `Retry-After`/`X-Ember-Retry-After-Ms` hints, transient `503`s

@@ -17,8 +17,8 @@
 //! `tests/parallel_equivalence.rs` pin this at 1, 2, and 8 threads.
 //!
 //! The serial single-generator functions ([`chain_batch`],
-//! [`sample_model`]) are kept unchanged as the reference path (and as
-//! the baseline mode of the `bench_pr1` harness).
+//! [`sample_model`]) are kept unchanged as the reference path the
+//! parallel chains are tested against.
 
 use ndarray::{Array1, Array2, Axis};
 use rand::Rng;

@@ -11,10 +11,9 @@
 //! construction, so the histogram can sit inside the per-shard stats
 //! that every request already touches.
 //!
-//! The same type backs three surfaces: live [`ShardStats`] /
-//! [`ServiceStats`](crate::ServiceStats) snapshots, the HTTP edge's
-//! `GET /v1/stats` JSON, and the open-loop bench harness's
-//! `latency-*` trajectory rows.
+//! The same type backs two surfaces: live [`ShardStats`] /
+//! [`ServiceStats`](crate::ServiceStats) snapshots and the HTTP edge's
+//! `GET /v1/stats` JSON.
 //!
 //! [`ShardStats`]: crate::ShardStats
 

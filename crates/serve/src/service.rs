@@ -47,7 +47,6 @@ pub struct ServiceBuilder {
     max_coalesce_rows: usize,
     coalescing: bool,
     coalesce_window: Duration,
-    program_retention: bool,
     master_seed: u64,
     retry_policy: RetryPolicy,
     breaker_threshold: u32,
@@ -96,8 +95,7 @@ impl ServiceBuilder {
     }
 
     /// Enables or disables request coalescing. Disabled, every request
-    /// is executed alone (the request-at-a-time baseline the
-    /// `serve-throughput` bench measures against).
+    /// is executed alone (the request-at-a-time baseline).
     #[must_use]
     pub fn coalescing(mut self, on: bool) -> Self {
         self.coalescing = on;
@@ -122,22 +120,6 @@ impl ServiceBuilder {
     #[must_use]
     pub fn coalesce_window(mut self, window: Duration) -> Self {
         self.coalesce_window = window;
-        self
-    }
-
-    /// Treats a replica's programmed weights as retained across jobs.
-    ///
-    /// By default the service assumes **no retention**: analog coupling
-    /// weights live on leaky gate charges, so every job re-programs its
-    /// replica — the paper's §3.2 accounting, where each minibatch pays
-    /// the `m·n + m + n` programming words. Coalescing exists precisely
-    /// to amortize that per-job cost over many requests. Enabling
-    /// retention models an idealized substrate that re-programs only
-    /// when the registry version moved; the sampled bits are identical
-    /// either way (programming is deterministic).
-    #[must_use]
-    pub fn program_retention(mut self, retained: bool) -> Self {
-        self.program_retention = retained;
         self
     }
 
@@ -211,7 +193,6 @@ impl ServiceBuilder {
             max_coalesce_rows: self.max_coalesce_rows,
             coalescing: self.coalescing,
             coalesce_window: self.coalesce_window,
-            program_retention: self.program_retention,
             retry_policy: self.retry_policy,
             breaker_threshold: self.breaker_threshold,
         });
@@ -243,7 +224,6 @@ impl Default for ServiceBuilder {
             max_coalesce_rows: 64,
             coalescing: true,
             coalesce_window: Duration::ZERO,
-            program_retention: false,
             master_seed: 0x5EED,
             retry_policy: RetryPolicy::default(),
             breaker_threshold: 3,
@@ -313,12 +293,10 @@ pub struct DrainReport {
 ///   once, whole-batch conditional samples, scatter rows back to
 ///   callers. Chains carry per-row RNG streams, so coalescing, sharding,
 ///   and scheduling are invisible in the sampled bits.
-/// * Programming is paid **per coalesced group**, not per request: the
-///   default volatile-weights model re-programs a replica for every job
-///   (the paper's per-minibatch `m·n + m + n` word accounting — what
-///   coalescing amortizes); [`ServiceBuilder::program_retention`]
-///   switches to an idealized retained-weights substrate that
-///   re-programs only when the registry version moves.
+/// * Programming is paid **per coalesced group**, not per request:
+///   analog coupling weights live on leaky gate charges, so every job
+///   re-programs its replica (the paper's per-minibatch `m·n + m + n`
+///   word accounting — what coalescing amortizes).
 /// * [`TrainRequest`]s run CD-k on the shard's replica and publish the
 ///   update back to the registry as a new version.
 ///
@@ -1046,8 +1024,7 @@ impl ServiceStats {
     }
 
     /// Service-wide queue-to-answer latency: every shard's histogram
-    /// merged. `latency().p99()` is the one number the tail-latency
-    /// trajectory tracks.
+    /// merged; `latency().p99()` is the service's tail latency.
     pub fn latency(&self) -> LatencyHistogram {
         let mut merged = LatencyHistogram::new();
         for shard in &self.shards {
@@ -1074,7 +1051,6 @@ struct Core {
     max_coalesce_rows: usize,
     coalescing: bool,
     coalesce_window: Duration,
-    program_retention: bool,
     retry_policy: RetryPolicy,
     breaker_threshold: u32,
 }
@@ -1086,7 +1062,6 @@ impl std::fmt::Debug for Core {
             .field("max_coalesce_rows", &self.max_coalesce_rows)
             .field("coalescing", &self.coalescing)
             .field("coalesce_window", &self.coalesce_window)
-            .field("program_retention", &self.program_retention)
             .field("retry_policy", &self.retry_policy)
             .field("breaker_threshold", &self.breaker_threshold)
             .finish_non_exhaustive()
@@ -1195,15 +1170,12 @@ enum Work {
     Exit,
 }
 
-/// One provisioned model replica on a shard. `programmed_version` only
-/// carries meaning when program retention is enabled; without it the
-/// replica's analog weights are treated as volatile and every job
-/// re-programs (`None` always forces reprogramming). `fallback` is the
-/// lazily fabricated `SoftwareGibbs` standing in after the model's
-/// circuit breaker trips.
+/// One provisioned model replica on a shard. Its analog weights are
+/// volatile, so every job re-programs it. `fallback` is the lazily
+/// fabricated `SoftwareGibbs` standing in after the model's circuit
+/// breaker trips.
 struct Replica {
     substrate: Box<dyn ReplicableSubstrate>,
-    programmed_version: Option<u64>,
     fallback: Option<Box<dyn ReplicableSubstrate>>,
 }
 
@@ -1211,7 +1183,6 @@ impl Replica {
     fn new(substrate: Box<dyn ReplicableSubstrate>) -> Self {
         Replica {
             substrate,
-            programmed_version: None,
             fallback: None,
         }
     }
@@ -1504,7 +1475,7 @@ fn fabricate_fallback(model: &str, snapshot: &ModelSnapshot) -> Box<dyn Replicab
 }
 
 /// Executes one coalesced group and returns one reply per member (in
-/// member order): shed expired deadlines, program-if-stale through the
+/// member order): shed expired deadlines, program through the
 /// verified fallible seam, run the batched kernel with
 /// reprogram-and-retry under the service's [`RetryPolicy`], scatter the
 /// rows back — or degrade to the software fallback when the model's
@@ -1593,16 +1564,9 @@ fn serve_sample_group(
         let outcome = loop {
             // §3.2 steps 1–2, once per coalesced group — through the
             // fallible seam, with readback verification. After any
-            // fault the volatile couplings are assumed disturbed, so
-            // `programmed_version` is cleared and this re-runs.
-            let programmed = if replica.programmed_version == Some(snapshot.version) {
-                Ok(())
-            } else {
-                program_verified(&mut *replica.substrate, &snapshot).map(|()| {
-                    replica.programmed_version = core.program_retention.then_some(snapshot.version);
-                })
-            };
-            let fault = match programmed {
+            // fault the volatile couplings are assumed disturbed, so a
+            // retry re-programs before it re-samples.
+            let fault = match program_verified(&mut *replica.substrate, &snapshot) {
                 Err(fault) => fault,
                 Ok(()) => {
                     match batch::try_sample_rows(&mut *replica.substrate, &rows, gibbs_steps) {
@@ -1611,7 +1575,6 @@ fn serve_sample_group(
                     }
                 }
             };
-            replica.programmed_version = None;
             if retries >= core.retry_policy.max_retries {
                 break Err(fault);
             }
@@ -1738,9 +1701,6 @@ fn serve_train(
         &mut rng,
     );
     let delta = replica.substrate.counters().delta_since(&before);
-    // The replica now holds the last *mid-training* programming; force a
-    // reprogram from the published version before the next sample group.
-    replica.programmed_version = None;
 
     // Compare-and-swap publish: if another shard published meanwhile
     // (concurrent training on the same model), fail with TrainConflict

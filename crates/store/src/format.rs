@@ -293,7 +293,7 @@ pub fn encode_registry(image: &RegistryImage) -> Result<Vec<u8>, StoreError> {
 }
 
 /// Encodes with every entry as a full frame — the baseline the delta
-/// codec is measured against (`bench_pr9` reports the bytes ratio).
+/// codec is measured against (the unit tests pin the bytes ratio).
 ///
 /// # Errors
 ///
@@ -740,6 +740,38 @@ mod tests {
         let f = encode_registry_uncompressed(&flipped).unwrap();
         assert_eq!(d.len(), f.len(), "sign-flip delta must fall back to full");
         assert_eq!(decode_registry(&d).unwrap().models[0].chain.len(), 2);
+    }
+
+    #[test]
+    fn training_shaped_chains_are_2_5x_smaller_than_full_frames() {
+        use rand::Rng;
+        // 4 models × 4-version chains at 784×200, each publish nudging
+        // ~10% of the weights by U(−5e-4, 5e-4): the shape a training
+        // loop's publishes have, and the case delta frames exist for.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2023);
+        let models = (0..4)
+            .map(|i| {
+                let mut rbm = Rbm::random(784, 200, 0.1, &mut rng);
+                let mut chain = vec![(1, Arc::new(rbm.clone()))];
+                for version in 2..=4 {
+                    for w in rbm.weights_mut().iter_mut() {
+                        if rng.random_bool(0.10) {
+                            *w += (rng.random::<f64>() - 0.5) * 1e-3;
+                        }
+                    }
+                    chain.push((version, Arc::new(rbm.clone())));
+                }
+                ModelChainImage {
+                    name: format!("model-{i}"),
+                    chain,
+                }
+            })
+            .collect();
+        let img = image(models);
+        let full = encode_registry_uncompressed(&img).unwrap().len();
+        let delta = encode_registry(&img).unwrap().len();
+        let ratio = full as f64 / delta as f64;
+        assert!(ratio >= 2.5, "full {full} B / delta {delta} B = {ratio:.3}");
     }
 
     #[test]

@@ -52,7 +52,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use ndarray::{Array1, Array2, ArrayView1, ArrayView2};
+use ndarray::{s, Array2, ArrayView1, ArrayView2};
 use rand::RngCore;
 
 mod chaos;
@@ -85,7 +85,7 @@ pub use instrument::HardwareCounters;
 /// parameter) to keep the trait object-safe; the randomness models the
 /// substrate's thermal noise, so a fixed seed reproduces a run exactly.
 pub trait Substrate {
-    /// Short stable identifier (used in bench rows and diagnostics).
+    /// Short stable identifier (used in reports and diagnostics).
     fn name(&self) -> &'static str;
 
     /// Number of visible-side nodes `m`.
@@ -139,31 +139,6 @@ pub trait Substrate {
     /// Panics if `hidden` has a row width other than `hidden_len()`.
     fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64>;
 
-    /// Single-row forward sample (serial engines). Defaults to a
-    /// batch of one; implementations may override with a cheaper or
-    /// differently-counted row kernel.
-    fn sample_hidden_row(
-        &mut self,
-        visible: &ArrayView1<'_, f64>,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        let mut batch = Array2::zeros((1, visible.len()));
-        batch.row_mut(0).assign(visible);
-        self.sample_hidden_batch(&batch, rng).row(0).to_owned()
-    }
-
-    /// Single-row reverse sample (serial engines). Defaults to a batch
-    /// of one.
-    fn sample_visible_row(
-        &mut self,
-        hidden: &ArrayView1<'_, f64>,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        let mut batch = Array2::zeros((1, hidden.len()));
-        batch.row_mut(0).assign(hidden);
-        self.sample_visible_batch(&batch, rng).row(0).to_owned()
-    }
-
     /// Forward batch sample with **one RNG stream per row**: row `i` of
     /// the output is drawn using `rngs[i]` and nothing else.
     ///
@@ -175,11 +150,13 @@ pub trait Substrate {
     /// same bits whether it is sampled alone or coalesced into any
     /// batch, on any replica programmed with the same parameters.
     ///
-    /// The default implementation loops [`Substrate::sample_hidden_row`]
-    /// and inherits its counter accounting; implementations with a
-    /// batched fast path (GEMM over the whole batch) may override it,
-    /// and implementations with persistent physical state must
-    /// re-initialize that state per row to honor the contract.
+    /// The default implementation runs one 1-row
+    /// [`Substrate::sample_hidden_batch`] per row under that row's
+    /// stream, so its counters are the sum of those calls;
+    /// implementations with a batched fast path (GEMM over the whole
+    /// batch) may override it, and implementations with persistent
+    /// physical state must re-initialize that state per row to honor
+    /// the contract.
     ///
     /// # Panics
     ///
@@ -192,9 +169,10 @@ pub trait Substrate {
     ) -> Array2<f64> {
         assert_eq!(visible.nrows(), rngs.len(), "one RNG stream per row");
         let mut out = Array2::zeros((visible.nrows(), self.hidden_len()));
-        for (i, row) in visible.rows().enumerate() {
+        for (i, rng) in rngs.iter_mut().enumerate() {
+            let row = visible.slice(s![i..=i, ..]).to_owned();
             out.row_mut(i)
-                .assign(&self.sample_hidden_row(&row, &mut *rngs[i]));
+                .assign(&self.sample_hidden_batch(&row, &mut **rng).row(0));
         }
         out
     }
@@ -214,9 +192,10 @@ pub trait Substrate {
     ) -> Array2<f64> {
         assert_eq!(hidden.nrows(), rngs.len(), "one RNG stream per row");
         let mut out = Array2::zeros((hidden.nrows(), self.visible_len()));
-        for (i, row) in hidden.rows().enumerate() {
+        for (i, rng) in rngs.iter_mut().enumerate() {
+            let row = hidden.slice(s![i..=i, ..]).to_owned();
             out.row_mut(i)
-                .assign(&self.sample_visible_row(&row, &mut *rngs[i]));
+                .assign(&self.sample_visible_batch(&row, &mut **rng).row(0));
         }
         out
     }
@@ -352,20 +331,6 @@ impl<S: Substrate + ?Sized> Substrate for Box<S> {
     fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
         (**self).sample_visible_batch(hidden, rng)
     }
-    fn sample_hidden_row(
-        &mut self,
-        visible: &ArrayView1<'_, f64>,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        (**self).sample_hidden_row(visible, rng)
-    }
-    fn sample_visible_row(
-        &mut self,
-        hidden: &ArrayView1<'_, f64>,
-        rng: &mut dyn RngCore,
-    ) -> Array1<f64> {
-        (**self).sample_visible_row(hidden, rng)
-    }
     fn sample_hidden_batch_rows(
         &mut self,
         visible: &Array2<f64>,
@@ -477,9 +442,10 @@ impl Clone for Box<dyn ReplicableSubstrate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndarray::Array1;
 
     /// A minimal deterministic stub used to pin the trait's default
-    /// methods (row fallbacks, programming cost, Box forwarding).
+    /// methods (per-row batches, programming cost, Box forwarding).
     #[derive(Clone)]
     struct Stub {
         m: usize,
@@ -532,20 +498,6 @@ mod tests {
     fn rng() -> rand::rngs::StdRng {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(0)
-    }
-
-    #[test]
-    fn default_row_methods_use_batch_of_one() {
-        let mut s = Stub {
-            m: 3,
-            n: 2,
-            counters: HardwareCounters::new(),
-        };
-        let v = Array1::from_vec(vec![1.0, 0.0, 1.0]);
-        let h = s.sample_hidden_row(&v.view(), &mut rng());
-        assert_eq!(h, Array1::from_vec(vec![1.0, 1.0]));
-        let back = s.sample_visible_row(&h.view(), &mut rng());
-        assert_eq!(back, Array1::zeros(3));
     }
 
     #[test]

@@ -341,8 +341,8 @@
 //!
 //! Underneath the packed/dense split sits a second axis: every inner
 //! field loop — the packed kernel's selected-row adds, the dense GEMM's
-//! `ikj` update, the serial per-chain field evaluation, the BRIM GEMVs
-//! and annealer sweep dots — executes on a runtime-dispatched **SIMD
+//! `ikj` update, the BRIM GEMVs and annealer sweep dots — executes on a
+//! runtime-dispatched **SIMD
 //! tier** ([`kernels::SimdTier`]): AVX2 on x86_64, NEON on aarch64,
 //! detected once per process and cached, with the original scalar loops
 //! kept verbatim as the always-available reference and fallback. The
@@ -401,6 +401,6 @@ pub use ember_store as store;
 pub use ember_substrate as substrate;
 
 // The kernel-tier surface (`SimdTier`, `active_tier`, `force_tier`,
-// the bit-packed and serial-field kernels) at the facade root: see the
-// "Kernel tiers" section above.
+// the bit-packed kernels) at the facade root: see the "Kernel tiers"
+// section above.
 pub use ember_core::kernels;
