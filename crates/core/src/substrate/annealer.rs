@@ -215,9 +215,10 @@ impl Substrate for AnnealerSubstrate {
             self.problem.weights().dim(),
             "fabricated size"
         );
-        // Volatile re-programming of identical parameters (the serving
-        // layer's per-job norm) pays the transfer words but skips the
-        // host-side rebuild of the problem and the cached transpose.
+        // Volatile re-programming of identical parameters (direct
+        // callers, and chaos-wrapped replicas the serving layer
+        // re-programs every group) pays the transfer words but skips
+        // the host-side rebuild of the problem and the cached transpose.
         let unchanged = weights
             .iter()
             .zip(self.problem.weights().iter())

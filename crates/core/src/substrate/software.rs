@@ -287,10 +287,13 @@ impl Substrate for SoftwareGibbs {
         );
         let programmed = weights.to_owned() * self.variation.factors();
         // Re-programming identical weights is the volatile-substrate
-        // norm (the serving layer re-programs every job): the physical
-        // words are paid either way (counted below), but the host-side
-        // derived caches — transpose and squared weights for the packed
-        // kernel — only rebuild when the realized array actually moved.
+        // norm for direct callers and chaos-wrapped replicas (the
+        // serving layer skips this call, counting the words itself,
+        // when an infallible replica already holds the group's model
+        // snapshot): the physical words are paid either way (counted
+        // below), but the host-side derived caches — transpose and
+        // squared weights for the packed kernel — only rebuild when the
+        // realized array actually moved.
         if programmed != self.weights {
             self.weights_t = programmed.t().to_owned();
             if self.sq_weights.is_some() {

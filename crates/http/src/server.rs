@@ -54,7 +54,7 @@
 //! socket.
 
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -262,7 +262,6 @@ impl Server {
         let workers = config.workers;
         assert!(workers >= 1, "need at least one connection worker");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service: RwLock::new(Some(service)),
@@ -311,10 +310,7 @@ impl Server {
     /// joins every thread.
     pub fn shutdown(mut self, deadline: Duration) -> ShutdownReport {
         let deadline_at = Instant::now() + deadline;
-        self.shared.closing.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.stop_accepting();
 
         // Wait for every accepted connection to be answered.
         let connections_drained = {
@@ -357,6 +353,31 @@ impl Server {
             service: service_report,
         }
     }
+
+    /// Sets `closing` and wakes the accept loop, parked in a blocking
+    /// `accept`, with one loopback connection; the loop drops that
+    /// connection uncounted, exits, and closes the listener. Should the
+    /// wake connection fail (descriptors exhausted, loopback filtered),
+    /// the loop and the idle workers it feeds are detached instead of
+    /// joined, so stopping never hangs.
+    fn stop_accepting(&mut self) {
+        self.shared.closing.store(true, Ordering::SeqCst);
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = accept.join();
+        } else {
+            self.workers.clear();
+        }
+    }
 }
 
 impl Drop for Server {
@@ -364,10 +385,7 @@ impl Drop for Server {
     /// connections and the service queue without a deadline. For a
     /// bounded stop use [`Server::shutdown`].
     fn drop(&mut self) {
-        self.shared.closing.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.stop_accepting();
         {
             let mut in_flight = self.shared.in_flight.lock().expect("in-flight lock");
             while *in_flight > 0 {
@@ -381,21 +399,25 @@ impl Drop for Server {
     }
 }
 
-/// Polls the nonblocking listener until shutdown; every accepted stream
-/// is counted in-flight *before* entering the worker hand-off queue.
-/// Dropping `tx` on exit is what terminates the idle workers.
+/// Blocks in `accept` until shutdown; every accepted stream is counted
+/// in-flight *before* entering the worker hand-off queue. A connection
+/// accepted once `closing` is set (the shutdown wake, or a client racing
+/// it) is dropped uncounted and ends the loop. Dropping `tx` on exit is
+/// what terminates the idle workers.
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::Sender<TcpStream>) {
-    while !shared.closing.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.closing.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 *shared.in_flight.lock().expect("in-flight lock") += 1;
                 if tx.send(stream).is_err() {
                     return;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // A persistent error (e.g. `EMFILE`) must not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -782,5 +804,31 @@ fn snapshot(shared: &Shared) -> Response {
             },
         ),
         Err(e) => error_response(500, "snapshot_failed", &e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Stopping closes the listener before it returns: the blocking
+    /// accept loop was woken and joined, not left parked.
+    #[test]
+    fn stopped_server_refuses_connections() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = Server::start(bind, SamplingService::builder().shards(1).build()).unwrap();
+            let port = server.addr().port();
+            let report = server.shutdown(Duration::from_secs(5));
+            assert!(report.connections_drained, "{bind}");
+            let err = TcpStream::connect(("127.0.0.1", port)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{bind}");
+        }
+
+        let server =
+            Server::start("127.0.0.1:0", SamplingService::builder().shards(1).build()).unwrap();
+        let addr = server.addr();
+        drop(server);
+        let err = TcpStream::connect(addr).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 }

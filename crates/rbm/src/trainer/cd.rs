@@ -435,8 +435,15 @@ impl CdTrainer {
         let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
         let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
 
-        *velocity_w = &*velocity_w * self.momentum
-            + &(&grad_w - &(rbm.weights() * self.weight_decay)) * self.learning_rate;
+        // In place: weight-sized temporaries page-fault on every
+        // training request. Each element's operations keep their order.
+        for ((v, &g), &w) in velocity_w
+            .iter_mut()
+            .zip(grad_w.iter())
+            .zip(rbm.weights().iter())
+        {
+            *v = *v * self.momentum + (g - w * self.weight_decay) * self.learning_rate;
+        }
         *velocity_bv = &*velocity_bv * self.momentum + &grad_bv * self.learning_rate;
         *velocity_bh = &*velocity_bh * self.momentum + &grad_bh * self.learning_rate;
 

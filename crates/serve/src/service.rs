@@ -247,6 +247,12 @@ impl<T> ResponseHandle<T> {
 
     /// Non-blocking poll: `None` while the request is still queued or
     /// executing.
+    ///
+    /// A returned reply is **handed over**, not copied: after
+    /// `try_wait` returns `Some(reply)`, a later
+    /// [`ResponseHandle::wait`] on the same handle returns
+    /// [`ServeError::Disconnected`] and a later poll never yields the
+    /// reply again. Keep the polled reply instead of waiting again.
     pub fn try_wait(&self) -> Option<Result<T, ServeError>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
@@ -293,10 +299,13 @@ pub struct DrainReport {
 ///   once, whole-batch conditional samples, scatter rows back to
 ///   callers. Chains carry per-row RNG streams, so coalescing, sharding,
 ///   and scheduling are invisible in the sampled bits.
-/// * Programming is paid **per coalesced group**, not per request:
+/// * Programming is counted **per coalesced group**, not per request:
 ///   analog coupling weights live on leaky gate charges, so every job
-///   re-programs its replica (the paper's per-minibatch `m·n + m + n`
-///   word accounting — what coalescing amortizes).
+///   is charged a re-programming of its replica (the paper's
+///   per-minibatch `m·n + m + n` word accounting — what coalescing
+///   amortizes). The host rebuilds the realized array only when the
+///   model snapshot changes; re-programming an unchanged snapshot on
+///   an infallible backend costs a counter update.
 /// * [`TrainRequest`]s run CD-k on the shard's replica and publish the
 ///   update back to the registry as a new version.
 ///
@@ -1170,21 +1179,73 @@ enum Work {
     Exit,
 }
 
-/// One provisioned model replica on a shard. Its analog weights are
-/// volatile, so every job re-programs it. `fallback` is the lazily
-/// fabricated `SoftwareGibbs` standing in after the model's circuit
-/// breaker trips.
+/// One provisioned model replica on a shard: the primary substrate and
+/// the lazily fabricated `SoftwareGibbs` fallback standing in after the
+/// model's circuit breaker trips.
 struct Replica {
-    substrate: Box<dyn ReplicableSubstrate>,
-    fallback: Option<Box<dyn ReplicableSubstrate>>,
+    primary: Programmed,
+    fallback: Option<Programmed>,
 }
 
 impl Replica {
     fn new(substrate: Box<dyn ReplicableSubstrate>) -> Self {
         Replica {
-            substrate,
+            primary: Programmed::new(substrate),
             fallback: None,
         }
+    }
+}
+
+/// A substrate and the immutable model snapshot it currently realizes.
+///
+/// Analog weights are volatile, so every coalesced group is *charged* a
+/// full programming event (`programming_cost()` words, the paper's
+/// per-minibatch accounting). The host only rebuilds the realized array
+/// when the snapshot changes: `holds` keeps the last programmed
+/// `Arc<Rbm>` alive, so `Arc::ptr_eq` against it cannot be fooled by a
+/// reused allocation, and a rollback (which republishes a retained
+/// `Arc`) still matches.
+struct Programmed {
+    substrate: Box<dyn ReplicableSubstrate>,
+    /// The snapshot `substrate` was last programmed with; `None` when
+    /// unknown (fresh replica, after a fault, after training).
+    holds: Option<Arc<Rbm>>,
+}
+
+impl Programmed {
+    fn new(substrate: Box<dyn ReplicableSubstrate>) -> Self {
+        Programmed {
+            substrate,
+            holds: None,
+        }
+    }
+
+    /// §3.2 steps 1–2 for one group: programs the snapshot through the
+    /// fallible seam and verifies the readback checksum (vacuous on
+    /// backends without readback). A substrate that already holds this
+    /// exact snapshot is only charged the words, which is all its
+    /// `program` would have counted.
+    fn program(&mut self, snapshot: &ModelSnapshot) -> Result<(), SubstrateFault> {
+        if let Some(rbm) = &self.holds {
+            if Arc::ptr_eq(rbm, &snapshot.rbm) {
+                let words = self.substrate.programming_cost();
+                self.substrate.counters_mut().host_words_transferred += words;
+                return Ok(());
+            }
+        }
+        self.holds = None;
+        let weights = snapshot.rbm.weights().view();
+        let visible_bias = snapshot.rbm.visible_bias().view();
+        let hidden_bias = snapshot.rbm.hidden_bias().view();
+        self.substrate
+            .try_program(&weights, &visible_bias, &hidden_bias)?;
+        verify_programming(&*self.substrate, &weights, &visible_bias, &hidden_bias)?;
+        // A fallible backend rolls its faults per programming event, so
+        // it never holds a snapshot and re-programs every group.
+        if !self.substrate.is_fallible() {
+            self.holds = Some(Arc::clone(&snapshot.rbm));
+        }
+        Ok(())
     }
 }
 
@@ -1442,20 +1503,6 @@ fn restart_shard(
     core.stats.lock().expect("stats lock").shards[shard].restarts += 1;
 }
 
-/// Programs `substrate` with the snapshot's parameters through the
-/// fallible seam, then verifies the readback checksum (vacuous on
-/// backends without readback).
-fn program_verified<S: ember_substrate::Substrate + ?Sized>(
-    substrate: &mut S,
-    snapshot: &ModelSnapshot,
-) -> Result<(), SubstrateFault> {
-    let weights = snapshot.rbm.weights().view();
-    let visible_bias = snapshot.rbm.visible_bias().view();
-    let hidden_bias = snapshot.rbm.hidden_bias().view();
-    substrate.try_program(&weights, &visible_bias, &hidden_bias)?;
-    verify_programming(substrate, &weights, &visible_bias, &hidden_bias)
-}
-
 /// The degraded-service substrate: a `SoftwareGibbs` fabricated
 /// deterministically from the model *name* (not the shard index), so
 /// every shard's fallback realizes the same machine and degraded
@@ -1548,41 +1595,39 @@ fn serve_sample_group(
         // it for this group from the current snapshot.
         let fallback = replica
             .fallback
-            .get_or_insert_with(|| fabricate_fallback(&model, &snapshot));
-        fallback.program(
-            &snapshot.rbm.weights().view(),
-            &snapshot.rbm.visible_bias().view(),
-            &snapshot.rbm.hidden_bias().view(),
-        );
-        let before = *fallback.counters();
-        let samples = batch::sample_rows(&mut **fallback, &rows, gibbs_steps);
-        let delta = fallback.counters().delta_since(&before);
+            .get_or_insert_with(|| Programmed::new(fabricate_fallback(&model, &snapshot)));
+        fallback
+            .program(&snapshot)
+            .expect("the software fallback never faults");
+        let before = *fallback.substrate.counters();
+        let samples = batch::sample_rows(&mut *fallback.substrate, &rows, gibbs_steps);
+        let delta = fallback.substrate.counters().delta_since(&before);
         (Ok(samples), delta, 0u32)
     } else {
-        let before = *replica.substrate.counters();
+        let primary = &mut replica.primary;
+        let before = *primary.substrate.counters();
         let mut retries = 0u32;
         let outcome = loop {
             // §3.2 steps 1–2, once per coalesced group — through the
             // fallible seam, with readback verification. After any
             // fault the volatile couplings are assumed disturbed, so a
             // retry re-programs before it re-samples.
-            let fault = match program_verified(&mut *replica.substrate, &snapshot) {
+            let attempt = primary
+                .program(&snapshot)
+                .and_then(|()| batch::try_sample_rows(&mut *primary.substrate, &rows, gibbs_steps));
+            let fault = match attempt {
+                Ok(samples) => break Ok(samples),
                 Err(fault) => fault,
-                Ok(()) => {
-                    match batch::try_sample_rows(&mut *replica.substrate, &rows, gibbs_steps) {
-                        Ok(samples) => break Ok(samples),
-                        Err(fault) => fault,
-                    }
-                }
             };
+            primary.holds = None;
             if retries >= core.retry_policy.max_retries {
                 break Err(fault);
             }
             retries += 1;
-            replica.substrate.counters_mut().recovery_retries += 1;
+            primary.substrate.counters_mut().recovery_retries += 1;
             std::thread::sleep(core.retry_policy.backoff(retries, backoff_rng));
         };
-        let delta = replica.substrate.counters().delta_since(&before);
+        let delta = primary.substrate.counters().delta_since(&before);
 
         // Breaker bookkeeping: consecutive exhausted groups trip the
         // model into degraded (fallback) service; any primary success
@@ -1691,16 +1736,21 @@ fn serve_train(
 
     let mut rbm = (*snapshot.rbm).clone();
     let mut rng = StdRng::seed_from_u64(request.seed.unwrap_or_else(&mut *lane_seed));
-    let before = *replica.substrate.counters();
+    let primary = &mut replica.primary;
+    // The trainer re-programs the replica every minibatch with
+    // intermediate weights, so it no longer holds any published
+    // snapshot.
+    primary.holds = None;
+    let before = *primary.substrate.counters();
     let stats = request.trainer.train_with(
         &mut rbm,
         &request.data,
         request.batch_size,
-        &mut *replica.substrate,
+        &mut *primary.substrate,
         request.epochs,
         &mut rng,
     );
-    let delta = replica.substrate.counters().delta_since(&before);
+    let delta = primary.substrate.counters().delta_since(&before);
 
     // Compare-and-swap publish: if another shard published meanwhile
     // (concurrent training on the same model), fail with TrainConflict
@@ -1727,4 +1777,24 @@ fn serve_train(
         model_stats.counters.merge(&delta);
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn try_wait_hands_the_reply_over() {
+        let (tx, rx) = mpsc::channel();
+        let handle = ResponseHandle::<u32> { rx };
+        assert!(handle.try_wait().is_none(), "nothing answered yet");
+        tx.send(Ok(7)).unwrap();
+        drop(tx);
+        assert!(matches!(handle.try_wait(), Some(Ok(7))));
+        assert!(matches!(
+            handle.try_wait(),
+            Some(Err(ServeError::Disconnected))
+        ));
+        assert!(matches!(handle.wait(), Err(ServeError::Disconnected)));
+    }
 }
