@@ -85,6 +85,7 @@ impl ThermalRng {
     }
 
     /// Draws one random reference voltage in `[Vcm − swing, Vcm + swing]`.
+    #[inline]
     pub fn sample_voltage<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let lo = VCM - self.swing;
         let hi = VCM + self.swing;

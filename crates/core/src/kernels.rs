@@ -236,7 +236,7 @@ fn block_path_wins(fan_in: usize, out_width: usize, rows_here: usize) -> bool {
 /// `states · W (+ bias)` with a bit-packed binary left operand: the
 /// weight rows selected by the set bits are accumulated in ascending
 /// index order — no multiplies, zero states skipped a word (64 states)
-/// at a time. Batches whose shape favors it ([`block_path_wins`]) go
+/// at a time. Batches whose shape favors it (`block_path_wins`) go
 /// through the transposed-mask block kernel
 /// ([`ndarray::simd::sum_selected_rows_block`], in 64-row chunks),
 /// which streams the weight matrix from L2 **once per chunk** instead

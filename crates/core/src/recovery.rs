@@ -18,8 +18,9 @@
 //!   read-outs, so any non-finite or non-binary cell is evidence of a
 //!   corrupted read (comparator latched mid-rail) and is converted into
 //!   a typed [`SubstrateFault::CorruptSamples`].
-//! * [`couplings_checksum`] — the host-side digest of an intended
-//!   programming image, compared against
+//! * [`verify_programming`] — compares [`couplings_checksum`] of the
+//!   intended programming image (re-exported from `ember_substrate`,
+//!   which owns the readback seam) against
 //!   [`Substrate::programmed_checksum`] readback (when the backend
 //!   offers one) to catch stuck-at weight bits that a "successful"
 //!   transfer silently realized.
@@ -31,6 +32,7 @@ use std::time::Duration;
 use ndarray::{Array2, ArrayView1, ArrayView2};
 use rand::{Rng, RngCore};
 
+pub use ember_substrate::couplings_checksum;
 use ember_substrate::SubstrateFault;
 
 /// Bounded exponential-backoff retry schedule for substrate faults.
@@ -134,32 +136,6 @@ pub fn screen_samples(batch: &Array2<f64>) -> Result<(), SubstrateFault> {
     Ok(())
 }
 
-/// FNV-1a digest over the bit patterns of a programming image
-/// (`weights`, then `visible_bias`, then `hidden_bias`, row-major).
-///
-/// This is the host side of readback verification: program the
-/// substrate, then compare this digest of the *intended* image against
-/// [`ember_substrate::Substrate::programmed_checksum`] (the digest of
-/// the *realized* couplings, on backends that can read them back). A
-/// mismatch is a [`SubstrateFault::Readback`].
-pub fn couplings_checksum(
-    weights: &ArrayView2<'_, f64>,
-    visible_bias: &ArrayView1<'_, f64>,
-    hidden_bias: &ArrayView1<'_, f64>,
-) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: f64| {
-        for byte in x.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    weights.iter().copied().for_each(&mut eat);
-    visible_bias.iter().copied().for_each(&mut eat);
-    hidden_bias.iter().copied().for_each(&mut eat);
-    hash
-}
-
 /// Verifies a programming against the substrate's readback, when the
 /// backend offers one.
 ///
@@ -252,7 +228,7 @@ mod tests {
         let b = couplings_checksum(&w2.view(), &bv.view(), &bh.view());
         assert_ne!(a, b);
         // Same image, same digest — and the ChaosSubstrate readback
-        // (its own FNV-1a copy) agrees, closing the verification loop.
+        // agrees, closing the verification loop.
         assert_eq!(a, couplings_checksum(&w.view(), &bv.view(), &bh.view()));
         let inner: Box<dyn ember_substrate::ReplicableSubstrate> =
             crate::substrate::SubstrateSpec::software(crate::GsConfig::default()).fabricate(

@@ -168,136 +168,15 @@ impl AnalogSampler {
         })
     }
 
-    /// Whole-minibatch node path, forward direction: every row of
-    /// `inputs` (`batch × fan_in`) is one clamped configuration; the
-    /// analog vector-matrix products of the whole batch collapse into a
-    /// single GEMM (`inputs · W`), then the sigmoid/comparator path runs
-    /// element-wise in row-major order. Returns `batch × out` samples.
-    ///
-    /// Statistically identical to calling [`AnalogSampler::sample_layer`]
-    /// per row (same per-element noise model), but consumes the RNG in
-    /// row-major element order rather than row-call order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn sample_layer_batch<R: Rng + ?Sized>(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rng: &mut R,
-    ) -> Array2<f64> {
-        assert_eq!(weights.nrows(), inputs.ncols(), "fan-in mismatch");
-        assert_eq!(weights.ncols(), bias.len(), "fan-out mismatch");
-        let mut fields = inputs.dot(weights);
-        self.finish_batch(&mut fields, bias, weights, inputs, false, rng);
-        fields
-    }
-
-    /// Whole-minibatch node path, reverse direction (output layer
-    /// clamped): `inputs` is `batch × out`, the GEMM is `inputs · Wᵀ`,
-    /// and the result is `batch × fan_in`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn sample_layer_rev_batch<R: Rng + ?Sized>(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rng: &mut R,
-    ) -> Array2<f64> {
-        assert_eq!(weights.ncols(), inputs.ncols(), "fan-in mismatch (rev)");
-        assert_eq!(weights.nrows(), bias.len(), "fan-out mismatch (rev)");
-        let mut fields = inputs.dot(&weights.t());
-        self.finish_batch(&mut fields, bias, weights, inputs, true, rng);
-        fields
-    }
-
-    /// Whole-minibatch node path, forward direction, with **one RNG
-    /// stream per row**: the analog vector-matrix products still collapse
-    /// into a single GEMM, but the sigmoid/comparator tail of row `i`
-    /// draws exclusively from `rngs[i]`.
-    ///
-    /// This is the serving-layer kernel: because the GEMM accumulates
-    /// each output row independently of the others and the stochastic
-    /// tail is per-row, row `i`'s bits depend only on (weights, bias,
-    /// row `i`, `rngs[i]`) — identical whether the row is sampled alone
-    /// or coalesced into any batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `rngs.len() != inputs.nrows()`.
-    pub fn sample_layer_batch_rows(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Array2<f64> {
-        assert_eq!(weights.nrows(), inputs.ncols(), "fan-in mismatch");
-        assert_eq!(weights.ncols(), bias.len(), "fan-out mismatch");
-        let mut fields = inputs.dot(weights);
-        self.finish_batch_rows(&mut fields, bias, weights, inputs, false, rngs);
-        fields
-    }
-
-    /// Reverse-direction counterpart of
-    /// [`AnalogSampler::sample_layer_batch_rows`] (output layer clamped,
-    /// fan-in side sampled), one RNG stream per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `rngs.len() != inputs.nrows()`.
-    pub fn sample_layer_rev_batch_rows(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Array2<f64> {
-        assert_eq!(weights.ncols(), inputs.ncols(), "fan-in mismatch (rev)");
-        assert_eq!(weights.nrows(), bias.len(), "fan-out mismatch (rev)");
-        let mut fields = inputs.dot(&weights.t());
-        self.finish_batch_rows(&mut fields, bias, weights, inputs, true, rngs);
-        fields
-    }
-
-    /// Per-row-stream tail of the batched node path: same arithmetic as
-    /// [`AnalogSampler::finish_batch`], but row `i` of the field matrix
-    /// consumes only `rngs[i]`.
-    fn finish_batch_rows(
-        &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        inputs: &Array2<f64>,
-        rev: bool,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) {
-        let var_coupler = if self.noise.noise_rms() > 0.0 {
-            let sq_in = inputs.mapv(|x| x * x);
-            let sq_w = weights.mapv(|w| w * w);
-            Some(if rev {
-                sq_in.dot(&sq_w.t())
-            } else {
-                sq_in.dot(&sq_w)
-            })
-        } else {
-            None
-        };
-        self.latch_batch_rows(fields, bias, var_coupler.as_ref(), rngs);
-    }
-
-    /// Stochastic tail of the per-row-stream batched node path, over
-    /// precomputed fields: bias add, then for each row — coupler-noise
-    /// perturbation (when `var_coupler` is given) and the
+    /// Stochastic tail of the batched node path with **one RNG stream
+    /// per row**, over precomputed fields: bias add, then for each row —
+    /// coupler-noise perturbation (when `var_coupler` is given) and the
     /// sigmoid/comparator latch, drawing exclusively from that row's
-    /// stream. The packed-kernel substrates call this directly with
-    /// fields (and variances) produced by
-    /// [`crate::kernels::binary_gemm`].
+    /// stream. This is the serving-layer tail: the field products
+    /// accumulate each output row independently of the others, so row
+    /// `i`'s bits depend only on (weights, bias, row `i`, `rngs[i]`) —
+    /// identical whether the row is sampled alone or coalesced into any
+    /// batch.
     pub(crate) fn latch_batch_rows(
         &self,
         fields: &mut Array2<f64>,
@@ -326,38 +205,14 @@ impl AnalogSampler {
         }
     }
 
-    /// Shared tail of the batched node path: computes the closed-form
-    /// coupler-noise variance from the raw operands, then runs
-    /// [`AnalogSampler::latch_batch`].
-    fn finish_batch<R: Rng + ?Sized>(
-        &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        inputs: &Array2<f64>,
-        rev: bool,
-        rng: &mut R,
-    ) {
-        let var_coupler = if self.noise.noise_rms() > 0.0 {
-            let sq_in = inputs.mapv(|x| x * x);
-            let sq_w = weights.mapv(|w| w * w);
-            Some(if rev {
-                sq_in.dot(&sq_w.t())
-            } else {
-                sq_in.dot(&sq_w)
-            })
-        } else {
-            None
-        };
-        self.latch_batch(fields, bias, var_coupler.as_ref(), rng);
-    }
-
     /// Stochastic tail of the batched node path, over precomputed
     /// fields: bias add, closed-form coupler-noise perturbation (when
     /// `var_coupler` is given), sigmoid transfer, comparator latch —
-    /// all element-wise over the field matrix in row-major order. The
-    /// packed-kernel substrates call this directly with fields (and
-    /// variances) produced by [`crate::kernels::binary_gemm`].
+    /// all element-wise over the field matrix in row-major order.
+    ///
+    /// Statistically identical to calling [`AnalogSampler::sample_layer`]
+    /// per row (same per-element noise model), but consumes the RNG in
+    /// row-major element order rather than row-call order.
     pub(crate) fn latch_batch<R: Rng + ?Sized>(
         &self,
         fields: &mut Array2<f64>,
@@ -473,45 +328,6 @@ mod tests {
         let f = sampler.fields(&w.view(), &bias.view(), &v.view(), &mut rng);
         assert!((f[0] - 0.6).abs() < 1e-12);
         assert!((f[1] - (-1.1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_rows_output_is_invariant_to_co_batched_rows() {
-        // Row 1 of a 3-row batch must equal the same row sampled alone
-        // under the same stream — the coalescing-invisibility contract —
-        // including with dynamic noise enabled.
-        let sampler = AnalogSampler::new(
-            SigmoidUnit::ideal(),
-            Comparator::ideal(),
-            NoiseModel::new(0.05, 0.1).unwrap(),
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        use rand::Rng as _;
-        let w = Array2::from_shape_fn((6, 4), |_| rng.random_range(-0.5..0.5));
-        let bias = arr1(&[0.1, -0.2, 0.0, 0.3]);
-        for rev in [false, true] {
-            let fan_in = if rev { 4 } else { 6 };
-            let inputs = Array2::from_shape_fn((3, fan_in), |_| f64::from(rng.random_bool(0.5)));
-            let sample = |rows: &Array2<f64>, seeds: &[u64]| {
-                let mut rngs: Vec<rand::rngs::StdRng> = seeds
-                    .iter()
-                    .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
-                    .collect();
-                let mut dyn_rngs: Vec<&mut dyn rand::RngCore> = rngs
-                    .iter_mut()
-                    .map(|r| r as &mut dyn rand::RngCore)
-                    .collect();
-                if rev {
-                    let b = arr1(&[0.0; 6]);
-                    sampler.sample_layer_rev_batch_rows(&w.view(), &b.view(), rows, &mut dyn_rngs)
-                } else {
-                    sampler.sample_layer_batch_rows(&w.view(), &bias.view(), rows, &mut dyn_rngs)
-                }
-            };
-            let full = sample(&inputs, &[7, 8, 9]);
-            let solo = sample(&inputs.slice(ndarray::s![1..2, ..]).to_owned(), &[8]);
-            assert_eq!(full.row(1), solo.row(0), "rev={rev}");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@ use rand::RngCore;
 
 use ember_ising::{AnnealSchedule, Annealer, BipartiteProblem, IsingProblem};
 use ember_rbm::Rbm;
-use ember_substrate::{HardwareCounters, Substrate};
+use ember_substrate::{HardwareCounters, Side, Substrate};
 
 use crate::kernels::{binary_gemm, BitMatrix};
 use crate::GsKernel;
@@ -125,16 +125,16 @@ impl AnnealerSubstrate {
     }
 
     /// The conditional bit fields of one batched half-step
-    /// (`clamped · W (+ bias)` forward, `clamped · Wᵀ (+ bias)`
-    /// reverse), through the selected kernel. Binary batches run the
-    /// bit-packed product; gray levels and the dense baseline pay the
-    /// dense GEMM. Returns the fields and whether the packed kernel
-    /// served the call (for the counter accounting).
-    fn batch_fields(&self, clamped: &Array2<f64>, rev: bool) -> (Array2<f64>, bool) {
-        let (w, bias) = if rev {
-            (&self.weights_t, self.problem.visible_bias())
-        } else {
-            (self.problem.weights(), self.problem.hidden_bias())
+    /// (`clamped · W (+ bias)` sampling [`Side::Hidden`],
+    /// `clamped · Wᵀ (+ bias)` sampling [`Side::Visible`]), through the
+    /// selected kernel. Binary batches run the bit-packed product; gray
+    /// levels and the dense baseline pay the dense GEMM. Returns the
+    /// fields and whether the packed kernel served the call (for the
+    /// counter accounting).
+    fn batch_fields(&self, clamped: &Array2<f64>, side: Side) -> (Array2<f64>, bool) {
+        let (w, bias) = match side {
+            Side::Hidden => (self.problem.weights(), self.problem.hidden_bias()),
+            Side::Visible => (&self.weights_t, self.problem.visible_bias()),
         };
         if self.kernel == GsKernel::Packed {
             if let Some(bits) = BitMatrix::from_batch(clamped) {
@@ -237,39 +237,29 @@ impl Substrate for AnnealerSubstrate {
         self.counters.host_words_transferred += self.programming_cost();
     }
 
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        assert_eq!(
-            visible.ncols(),
-            self.visible_len(),
-            "visible width mismatch"
-        );
-        let n = self.hidden_len();
-        // Conditional bit fields for the whole batch in one product:
-        // a = v · W + b_h — bit-packed when the clamp is binary.
-        let (fields, packed) = self.batch_fields(visible, false);
+    fn sample_batch(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        let (clamped, free) = match side {
+            Side::Hidden => (self.visible_len(), self.hidden_len()),
+            Side::Visible => (self.hidden_len(), self.visible_len()),
+        };
+        assert_eq!(clamp.ncols(), clamped, "clamp width mismatch");
+        // Conditional bit fields for the whole batch in one product
+        // (a = v · W + b_h forward) — bit-packed when the clamp is
+        // binary.
+        let (fields, packed) = self.batch_fields(clamp, side);
         self.count_kernel(packed);
-        let mut out = Array2::zeros((visible.nrows(), n));
+        let mut out = Array2::zeros((clamp.nrows(), free));
         for (r, field_row) in fields.rows().enumerate() {
             out.row_mut(r)
                 .assign(&self.sample_free_side(&field_row, rng));
         }
-        self.counters.phase_points += visible.nrows() as u64 * self.sweeps_per_sample();
-        self.counters.host_words_transferred += (visible.nrows() * n) as u64;
-        out
-    }
-
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        assert_eq!(hidden.ncols(), self.hidden_len(), "hidden width mismatch");
-        let m = self.visible_len();
-        let (fields, packed) = self.batch_fields(hidden, true);
-        self.count_kernel(packed);
-        let mut out = Array2::zeros((hidden.nrows(), m));
-        for (r, field_row) in fields.rows().enumerate() {
-            out.row_mut(r)
-                .assign(&self.sample_free_side(&field_row, rng));
-        }
-        self.counters.phase_points += hidden.nrows() as u64 * self.sweeps_per_sample();
-        self.counters.host_words_transferred += (hidden.nrows() * m) as u64;
+        self.counters.phase_points += clamp.nrows() as u64 * self.sweeps_per_sample();
+        self.counters.host_words_transferred += (clamp.nrows() * free) as u64;
         out
     }
 

@@ -4,7 +4,7 @@ use rand::RngCore;
 use ember_brim::{BipartiteBrim, BrimConfig, FlipSchedule};
 use ember_ising::BipartiteProblem;
 use ember_rbm::Rbm;
-use ember_substrate::{HardwareCounters, Substrate};
+use ember_substrate::{HardwareCounters, Side, Substrate};
 
 use crate::kernels::BitMatrix;
 
@@ -95,6 +95,71 @@ impl BrimSubstrate {
     fn thermal_schedule(&self) -> FlipSchedule {
         FlipSchedule::constant(self.flip_probability, self.anneal_steps)
     }
+
+    /// Clamp → anneal → read for every row of `clamp`, sampling `side`.
+    ///
+    /// With `per_row == false` the rows continue one physical
+    /// trajectory on `rngs[0]` (the §3 batch). With `per_row == true`
+    /// every row is an independent trajectory from the machine's
+    /// power-on state on its own stream `rngs[r]`, so its read-out
+    /// depends only on (programmed model, clamp, own stream) — never on
+    /// the previous tenant of this replica (the serving contract of
+    /// [`Substrate::sample_batch_rows`]).
+    fn anneal_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
+        rngs: &mut [&mut dyn RngCore],
+        per_row: bool,
+    ) -> Array2<f64> {
+        let (m, n) = (self.visible_len(), self.hidden_len());
+        let (clamped, free, clamped_side) = match side {
+            Side::Hidden => (m, n, "visible"),
+            Side::Visible => (n, m, "hidden"),
+        };
+        assert_eq!(
+            clamp.ncols(),
+            clamped,
+            "{clamped_side} clamp width mismatch"
+        );
+        if per_row {
+            assert_eq!(clamp.nrows(), rngs.len(), "one RNG stream per row");
+        }
+        let schedule = self.thermal_schedule();
+        // Each settled read-out thresholds straight into one packed
+        // row — no per-read `Vec<bool>`; the dense `f64` matrix the
+        // Substrate API exchanges is materialized once at the end.
+        let mut out = BitMatrix::zeros(clamp.nrows(), free);
+        let mut levels = vec![0.0; clamped];
+        for (r, row) in clamp.rows().enumerate() {
+            for (level, &x) in levels.iter_mut().zip(row.iter()) {
+                *level = x;
+            }
+            let rng = if per_row {
+                self.brim.reset_voltages();
+                &mut *rngs[r]
+            } else {
+                &mut *rngs[0]
+            };
+            match side {
+                Side::Hidden => {
+                    self.brim.clamp_visible(&levels);
+                    self.brim.anneal(&schedule, rng);
+                    self.brim.read_hidden_packed(out.row_words_mut(r));
+                }
+                Side::Visible => {
+                    self.brim.clamp_hidden(&levels);
+                    self.brim.anneal(&schedule, rng);
+                    self.brim.read_visible_packed(out.row_words_mut(r));
+                }
+            }
+        }
+        self.counters.packed_kernel_calls += 1;
+        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
+        self.counters.phase_points += (clamp.nrows() * self.anneal_steps) as u64;
+        self.counters.host_words_transferred += (clamp.nrows() * free) as u64;
+        out.to_dense()
+    }
 }
 
 impl Substrate for BrimSubstrate {
@@ -126,108 +191,22 @@ impl Substrate for BrimSubstrate {
         self.counters.host_words_transferred += self.programming_cost();
     }
 
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(visible.ncols(), m, "visible clamp width mismatch");
-        let schedule = self.thermal_schedule();
-        // Each settled read-out thresholds straight into one packed
-        // row — no per-read `Vec<bool>`; the dense `f64` matrix the
-        // Substrate API exchanges is materialized once at the end.
-        let mut out = BitMatrix::zeros(visible.nrows(), n);
-        let mut levels = vec![0.0; m];
-        for (r, row) in visible.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            self.brim.clamp_visible(&levels);
-            self.brim.anneal(&schedule, rng);
-            self.brim.read_hidden_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (visible.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (visible.nrows() * n) as u64;
-        out.to_dense()
-    }
-
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(hidden.ncols(), n, "hidden clamp width mismatch");
-        let schedule = self.thermal_schedule();
-        let mut out = BitMatrix::zeros(hidden.nrows(), m);
-        let mut levels = vec![0.0; n];
-        for (r, row) in hidden.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            self.brim.clamp_hidden(&levels);
-            self.brim.anneal(&schedule, rng);
-            self.brim.read_visible_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (hidden.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (hidden.nrows() * m) as u64;
-        out.to_dense()
-    }
-
-    fn sample_hidden_batch_rows(
+    fn sample_batch(
         &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        self.anneal_rows(side, clamp, &mut [rng], false)
+    }
+
+    fn sample_batch_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(visible.ncols(), m, "visible clamp width mismatch");
-        assert_eq!(visible.nrows(), rngs.len(), "one RNG stream per row");
-        let schedule = self.thermal_schedule();
-        let mut out = BitMatrix::zeros(visible.nrows(), n);
-        let mut levels = vec![0.0; m];
-        for (r, row) in visible.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            // Serving semantics: every row is an independent trajectory
-            // from the machine's power-on state, so its read-out depends
-            // only on (programmed model, clamp, own stream) — never on
-            // the previous tenant of this replica. The plain batch
-            // methods above keep the §3 continuous physical trajectory.
-            self.brim.reset_voltages();
-            self.brim.clamp_visible(&levels);
-            self.brim.anneal(&schedule, &mut *rngs[r]);
-            self.brim.read_hidden_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (visible.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (visible.nrows() * n) as u64;
-        out.to_dense()
-    }
-
-    fn sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(hidden.ncols(), n, "hidden clamp width mismatch");
-        assert_eq!(hidden.nrows(), rngs.len(), "one RNG stream per row");
-        let schedule = self.thermal_schedule();
-        let mut out = BitMatrix::zeros(hidden.nrows(), m);
-        let mut levels = vec![0.0; n];
-        for (r, row) in hidden.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            self.brim.reset_voltages();
-            self.brim.clamp_hidden(&levels);
-            self.brim.anneal(&schedule, &mut *rngs[r]);
-            self.brim.read_visible_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (hidden.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (hidden.nrows() * m) as u64;
-        out.to_dense()
+        self.anneal_rows(side, clamp, rngs, true)
     }
 
     fn counters(&self) -> &HardwareCounters {

@@ -28,8 +28,8 @@
 //! |---|---|---|---|---|
 //! | 1–2. program couplings/biases (`m·n + m + n` words) | `program` | applies frozen coupler variation | spin-domain embedding via `BipartiteBrim::reprogram` | rebuilds the bipartite coupling |
 //! | 3. clamp data through DTCs | `quantize_batch` | `Dtc::convert` per element | identity (clamp units drive rails directly) | identity |
-//! | 4–5. settle the free side, read it out | `sample_hidden_batch` / `sample_visible_batch` | GEMM + sigmoid + comparator | clamp → anneal under flip injection → threshold | clamped-side conditional fields → Metropolis sweeps |
-//! | 6. alternate sides for k-step Gibbs | callers alternate the two methods | — | — | — |
+//! | 4–5. settle the free side, read it out | `sample_batch` (`sample_batch_rows`: one RNG stream per row) | GEMM + sigmoid + comparator | clamp → anneal under flip injection → threshold (rows: from power-on each) | clamped-side conditional fields → Metropolis sweeps (rows: the trait default) |
+//! | 6. alternate sides for k-step Gibbs | callers alternate `Side::Hidden` and `Side::Visible` | — | — | — |
 //! | 7–8. host accumulates and updates | host-side | counters track settle phase points + words | phase points = integration steps | phase points = Metropolis sweeps |
 //!
 //! All backends are driven identically — see
@@ -38,7 +38,8 @@
 //! for the shared distribution-conformance suite.
 
 pub use ember_substrate::{
-    ChaosConfig, ChaosSubstrate, HardwareCounters, ReplicableSubstrate, Substrate, SubstrateFault,
+    ChaosConfig, ChaosSubstrate, HardwareCounters, ReplicableSubstrate, Side, Substrate,
+    SubstrateFault,
 };
 
 mod annealer;

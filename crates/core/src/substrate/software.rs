@@ -2,7 +2,7 @@ use ndarray::{Array1, Array2, ArrayView1, ArrayView2};
 use rand::{Rng, RngCore};
 
 use ember_analog::{Dtc, VariationMap};
-use ember_substrate::{HardwareCounters, Substrate};
+use ember_substrate::{HardwareCounters, Side, Substrate};
 
 use crate::kernels::{binary_gemm, BitMatrix};
 use crate::{AnalogSampler, GsConfig, GsKernel};
@@ -19,11 +19,10 @@ use crate::{AnalogSampler, GsConfig, GsKernel};
 /// GEMM (same index-order accumulation; zero terms are floating-point
 /// no-ops), so the samples never depend on the kernel choice.
 /// Non-binary batches (multi-bit DTC gray data) and the
-/// [`GsKernel::Dense`] reference run the dense
-/// [`AnalogSampler::sample_layer_batch`] path. The serving kernels
-/// (`sample_hidden_batch_rows` / `sample_visible_batch_rows`) share the
-/// same kernel selection but drive each row's stochastic tail from its
-/// own RNG stream, so a row's bits are invariant to request coalescing.
+/// [`GsKernel::Dense`] reference run the dense GEMM instead. The serving
+/// kernel ([`Substrate::sample_batch_rows`]) shares the same kernel
+/// selection but drives each row's stochastic tail from its own RNG
+/// stream, so a row's bits are invariant to request coalescing.
 /// [`HardwareCounters::packed_kernel_calls`] /
 /// [`HardwareCounters::dense_kernel_calls`] record which kernel served
 /// each sampling call.
@@ -130,134 +129,71 @@ impl SoftwareGibbs {
         self
     }
 
-    /// The batched analog field product (and, under a noisy front end,
-    /// the closed-form coupler-noise variance) through the bit-packed
-    /// kernel. `None` when the dense path must run instead: the dense
-    /// kernel is selected, or the batch is not exactly binary (multi-bit
-    /// DTC gray levels).
+    /// The batched analog field product of one half-step and, under a
+    /// noisy front end, the closed-form coupler-noise variance
+    /// `Σᵢ (Wᵢⱼ uᵢ)²`. The bit-packed kernel serves when it is selected
+    /// and the batch is exactly binary; the dense GEMM serves otherwise
+    /// (multi-bit DTC gray levels, or the [`GsKernel::Dense`]
+    /// reference). Either way the call is counted against its kernel.
     ///
-    /// For a binary batch `u`, `u ⊙ u == u` bit for bit, so the
+    /// For a binary batch `u`, `u ⊙ u == u` bit for bit, so the packed
     /// variance product reuses the same packed bits against the cached
     /// squared weights.
-    fn packed_fields(
-        &self,
-        inputs: &Array2<f64>,
-        rev: bool,
-    ) -> Option<(Array2<f64>, Option<Array2<f64>>)> {
-        if self.kernel != GsKernel::Packed {
-            return None;
-        }
-        let bits = BitMatrix::from_batch(inputs)?;
-        let w = if rev { &self.weights_t } else { &self.weights };
-        let fields = binary_gemm(&bits, w, None);
-        let var = if self.sampler.noise().noise_rms() > 0.0 {
-            let sq = if rev {
-                self.sq_weights_t.as_ref()
-            } else {
-                self.sq_weights.as_ref()
-            };
-            Some(binary_gemm(&bits, sq.expect("cached at program"), None))
-        } else {
-            None
-        };
-        Some((fields, var))
-    }
-
-    /// Shared kernel dispatch of the whole-batch sampling entry points:
-    /// the packed product when selected and packable, the dense
-    /// [`AnalogSampler`] path otherwise — counted either way. `rev`
-    /// flips the direction (hidden side clamped, visible side sampled).
-    fn sample_batch(
-        &mut self,
-        inputs: &Array2<f64>,
-        rev: bool,
-        rng: &mut dyn RngCore,
-    ) -> Array2<f64> {
+    fn fields(&mut self, inputs: &Array2<f64>, side: Side) -> (Array2<f64>, Option<Array2<f64>>) {
         // Kernel-tier accounting: both the packed selected-row kernel
         // and the dense GEMM run their inner loops on the runtime
         // SIMD tier, so the tier counter is orthogonal to the
         // packed/dense split (simd == packed + dense on a vector tier,
         // 0 under `EMBER_FORCE_SCALAR`).
         self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        match self.packed_fields(inputs, rev) {
-            Some((mut fields, var)) => {
+        let noisy = self.sampler.noise().noise_rms() > 0.0;
+        let rev = side == Side::Visible;
+        if self.kernel == GsKernel::Packed {
+            if let Some(bits) = BitMatrix::from_batch(inputs) {
                 self.counters.packed_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
+                let (w, sq) = if rev {
+                    (&self.weights_t, &self.sq_weights_t)
                 } else {
-                    &self.hidden_bias
+                    (&self.weights, &self.sq_weights)
                 };
-                self.sampler
-                    .latch_batch(&mut fields, &bias.view(), var.as_ref(), rng);
-                fields
+                let fields = binary_gemm(&bits, w, None);
+                let var = noisy
+                    .then(|| binary_gemm(&bits, sq.as_ref().expect("cached at program"), None));
+                return (fields, var);
             }
-            None => {
-                self.counters.dense_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
-                if rev {
-                    self.sampler.sample_layer_rev_batch(
-                        &self.weights.view(),
-                        &bias.view(),
-                        inputs,
-                        rng,
-                    )
-                } else {
-                    self.sampler
-                        .sample_layer_batch(&self.weights.view(), &bias.view(), inputs, rng)
-                }
+        }
+        self.counters.dense_kernel_calls += 1;
+        let w = &self.weights;
+        let fields = if rev {
+            inputs.dot(&w.t())
+        } else {
+            inputs.dot(w)
+        };
+        let var = noisy.then(|| {
+            let sq_in = inputs.mapv(|x| x * x);
+            let sq_w = w.mapv(|w| w * w);
+            if rev {
+                sq_in.dot(&sq_w.t())
+            } else {
+                sq_in.dot(&sq_w)
             }
+        });
+        (fields, var)
+    }
+
+    /// The bias of the sampled side.
+    fn bias(&self, side: Side) -> &Array1<f64> {
+        match side {
+            Side::Hidden => &self.hidden_bias,
+            Side::Visible => &self.visible_bias,
         }
     }
 
-    /// Per-row-stream counterpart of [`SoftwareGibbs::sample_batch`]
-    /// (row `i`'s stochastic tail draws exclusively from `rngs[i]`).
-    fn sample_batch_rows(
-        &mut self,
-        inputs: &Array2<f64>,
-        rev: bool,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        match self.packed_fields(inputs, rev) {
-            Some((mut fields, var)) => {
-                self.counters.packed_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
-                self.sampler
-                    .latch_batch_rows(&mut fields, &bias.view(), var.as_ref(), rngs);
-                fields
-            }
-            None => {
-                self.counters.dense_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
-                if rev {
-                    self.sampler.sample_layer_rev_batch_rows(
-                        &self.weights.view(),
-                        &bias.view(),
-                        inputs,
-                        rngs,
-                    )
-                } else {
-                    self.sampler.sample_layer_batch_rows(
-                        &self.weights.view(),
-                        &bias.view(),
-                        inputs,
-                        rngs,
-                    )
-                }
-            }
-        }
+    /// Per-half-step accounting: every clamped row settles for
+    /// `settle_phase_points`, and every latched sample is read out.
+    fn count_read(&mut self, samples: &Array2<f64>) {
+        self.counters.phase_points += samples.nrows() as u64 * self.settle_phase_points;
+        self.counters.host_words_transferred += samples.len() as u64;
     }
 }
 
@@ -311,40 +247,30 @@ impl Substrate for SoftwareGibbs {
         levels.mapv(|x| self.dtc.convert(x))
     }
 
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let h = self.sample_batch(visible, false, rng);
-        self.counters.phase_points += visible.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += h.len() as u64;
-        h
-    }
-
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let v = self.sample_batch(hidden, true, rng);
-        self.counters.phase_points += hidden.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += v.len() as u64;
-        v
-    }
-
-    fn sample_hidden_batch_rows(
+    fn sample_batch(
         &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        let (mut fields, var) = self.fields(clamp, side);
+        self.sampler
+            .latch_batch(&mut fields, &self.bias(side).view(), var.as_ref(), rng);
+        self.count_read(&fields);
+        fields
+    }
+
+    fn sample_batch_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        let h = self.sample_batch_rows(visible, false, rngs);
-        self.counters.phase_points += visible.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += h.len() as u64;
-        h
-    }
-
-    fn sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        let v = self.sample_batch_rows(hidden, true, rngs);
-        self.counters.phase_points += hidden.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += v.len() as u64;
-        v
+        let (mut fields, var) = self.fields(clamp, side);
+        self.sampler
+            .latch_batch_rows(&mut fields, &self.bias(side).view(), var.as_ref(), rngs);
+        self.count_read(&fields);
+        fields
     }
 
     fn counters(&self) -> &HardwareCounters {
@@ -461,6 +387,40 @@ mod tests {
         let binary = Array2::from_elem((2, 3), 1.0);
         let _ = sub.sample_hidden_batch(&binary, &mut rng);
         assert_eq!(sub.counters().packed_kernel_calls, 1);
+    }
+
+    #[test]
+    fn batch_rows_output_is_invariant_to_co_batched_rows() {
+        use ember_analog::NoiseModel;
+        // Row 1 of a 3-row batch must equal the same row sampled alone
+        // under the same stream — the coalescing-invisibility contract —
+        // on the dense GEMM, with dynamic noise enabled, both sides.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let config = GsConfig::default()
+            .with_noise(NoiseModel::new(0.05, 0.1).unwrap())
+            .with_kernel(GsKernel::Dense);
+        let mut sub = SoftwareGibbs::new(6, 4, &config, &mut rng);
+        let w = Array2::from_shape_fn((6, 4), |_| rng.random_range(-0.5..0.5));
+        let bv = Array1::from_shape_fn(6, |_| rng.random_range(-0.3..0.3));
+        let bh = ndarray::arr1(&[0.1, -0.2, 0.0, 0.3]);
+        sub.program(&w.view(), &bv.view(), &bh.view());
+        for (side, fan_in) in [(Side::Hidden, 6), (Side::Visible, 4)] {
+            let inputs = Array2::from_shape_fn((3, fan_in), |_| f64::from(rng.random_bool(0.5)));
+            let mut sample = |rows: &Array2<f64>, seeds: &[u64]| {
+                let mut rngs: Vec<rand::rngs::StdRng> = seeds
+                    .iter()
+                    .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
+                    .collect();
+                let mut dyn_rngs: Vec<&mut dyn RngCore> =
+                    rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+                sub.sample_batch_rows(side, rows, &mut dyn_rngs)
+            };
+            let full = sample(&inputs, &[7, 8, 9]);
+            let solo = sample(&inputs.slice(ndarray::s![1..2, ..]).to_owned(), &[8]);
+            assert_eq!(full.row(1), solo.row(0), "{side:?}");
+        }
+        assert_eq!(sub.counters().dense_kernel_calls, 4);
+        assert_eq!(sub.counters().packed_kernel_calls, 0);
     }
 
     #[test]

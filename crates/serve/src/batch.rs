@@ -5,13 +5,14 @@
 //! The kernel is the serving-side analogue of the paper's per-minibatch
 //! §3.2 operation list: program once (done by the caller), quantize the
 //! whole batch of clamp levels once, then realize every chain's k Gibbs
-//! steps by alternating whole-batch `sample_hidden_batch_rows` /
-//! `sample_visible_batch_rows` calls on the substrate. Each row carries
-//! its **own RNG stream**, so a row's bits depend only on (programmed
-//! model, its init, its seed, step count) — which is exactly why the
-//! service may coalesce rows from unrelated requests into one batch, or
-//! split them across shards, without changing a single bit of anyone's
-//! response. Equivalence is pinned by
+//! steps by alternating whole-batch `sample_batch_rows` half-steps of
+//! `Side::Hidden` and `Side::Visible` on the substrate (through the
+//! fallible `try_sample_batch_rows` in [`try_sample_rows`]). Each row
+//! carries its **own RNG stream**, so a row's bits depend only on
+//! (programmed model, its init, its seed, step count) — which is
+//! exactly why the service may coalesce rows from unrelated requests
+//! into one batch, or split them across shards, without changing a
+//! single bit of anyone's response. Equivalence is pinned by
 //! `crates/serve/tests/coalescing_equivalence.rs` at 1/2/8 shards.
 
 use ndarray::Array2;
@@ -19,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use ember_rbm::RngStreams;
-use ember_substrate::{Substrate, SubstrateFault};
+use ember_substrate::{Side, Substrate, SubstrateFault};
 
 use crate::SampleRequest;
 
@@ -55,7 +56,7 @@ pub fn expand_request(request: &SampleRequest, master_seed: u64) -> Vec<ChainReq
 ///
 /// Row `i` of the result depends only on the programmed parameters and
 /// `rows[i]` — never on the other rows (see
-/// [`Substrate::sample_hidden_batch_rows`]) — so any partition of `rows`
+/// [`Substrate::sample_batch_rows`]) — so any partition of `rows`
 /// into separate calls, on any identically-programmed replicas, yields
 /// bit-identical rows.
 ///
@@ -68,26 +69,15 @@ pub fn sample_rows<S: Substrate + ?Sized>(
     rows: &[ChainRequest],
     gibbs_steps: usize,
 ) -> Array2<f64> {
-    let (mut rngs, mut v) = init_chains(substrate, rows, gibbs_steps);
-    let mut h = {
-        let mut lanes = rng_lanes(&mut rngs);
-        substrate.sample_hidden_batch_rows(&v, &mut lanes)
-    };
-    for step in 0..gibbs_steps {
-        let mut lanes = rng_lanes(&mut rngs);
-        v = substrate.sample_visible_batch_rows(&h, &mut lanes);
-        if step + 1 < gibbs_steps {
-            let mut lanes = rng_lanes(&mut rngs);
-            h = substrate.sample_hidden_batch_rows(&v, &mut lanes);
-        }
-    }
-    v
+    run_chains(substrate, rows, gibbs_steps, |sub, side, clamp, lanes| {
+        Ok(sub.sample_batch_rows(side, clamp, lanes))
+    })
+    .expect("the infallible seam never faults")
 }
 
 /// The fallible twin of [`sample_rows`]: identical chain semantics, but
 /// every substrate read goes through the **fallible seam**
-/// ([`Substrate::try_sample_hidden_batch_rows`] /
-/// [`Substrate::try_sample_visible_batch_rows`]), and — on substrates
+/// ([`Substrate::try_sample_batch_rows`]), and — on substrates
 /// that declare themselves [`Substrate::is_fallible`] — every returned
 /// batch passes the host's binary sanity screen
 /// (`ember_core::recovery::screen_samples`) before it is fed back into
@@ -117,31 +107,36 @@ pub fn try_sample_rows<S: Substrate + ?Sized>(
     gibbs_steps: usize,
 ) -> Result<Array2<f64>, SubstrateFault> {
     let screened = substrate.is_fallible();
-    let screen = |batch: &Array2<f64>| -> Result<(), SubstrateFault> {
+    run_chains(substrate, rows, gibbs_steps, |sub, side, clamp, lanes| {
+        let batch = sub.try_sample_batch_rows(side, clamp, lanes)?;
         if screened {
-            ember_core::recovery::screen_samples(batch)
-        } else {
-            Ok(())
+            ember_core::recovery::screen_samples(&batch)?;
         }
-    };
+        Ok(batch)
+    })
+}
+
+/// The chain loop of [`sample_rows`] / [`try_sample_rows`]: a hidden
+/// half-step from the initial visible batch, then `gibbs_steps`
+/// visible half-steps, each but the last followed by a hidden one. The
+/// two differ only in `half_step`; a fault from it ends the run.
+fn run_chains<S: Substrate + ?Sized>(
+    substrate: &mut S,
+    rows: &[ChainRequest],
+    gibbs_steps: usize,
+    mut half_step: impl FnMut(
+        &mut S,
+        Side,
+        &Array2<f64>,
+        &mut [&mut dyn RngCore],
+    ) -> Result<Array2<f64>, SubstrateFault>,
+) -> Result<Array2<f64>, SubstrateFault> {
     let (mut rngs, mut v) = init_chains(substrate, rows, gibbs_steps);
-    let mut h = {
-        let mut lanes = rng_lanes(&mut rngs);
-        substrate.try_sample_hidden_batch_rows(&v, &mut lanes)?
-    };
-    screen(&h)?;
+    let mut h = half_step(substrate, Side::Hidden, &v, &mut rng_lanes(&mut rngs))?;
     for step in 0..gibbs_steps {
-        {
-            let mut lanes = rng_lanes(&mut rngs);
-            v = substrate.try_sample_visible_batch_rows(&h, &mut lanes)?;
-        }
-        screen(&v)?;
+        v = half_step(substrate, Side::Visible, &h, &mut rng_lanes(&mut rngs))?;
         if step + 1 < gibbs_steps {
-            {
-                let mut lanes = rng_lanes(&mut rngs);
-                h = substrate.try_sample_hidden_batch_rows(&v, &mut lanes)?;
-            }
-            screen(&h)?;
+            h = half_step(substrate, Side::Hidden, &v, &mut rng_lanes(&mut rngs))?;
         }
     }
     Ok(v)

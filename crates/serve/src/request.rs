@@ -67,7 +67,7 @@ impl fmt::Display for Priority {
 /// configuration as one row of the response.
 ///
 /// Because every chain's bits depend only on (model parameters, clamp,
-/// steps, its stream) — see `Substrate::sample_hidden_batch_rows` — the
+/// steps, its stream) — see `Substrate::sample_batch_rows` — the
 /// response is **bit-identical no matter how the service coalesces,
 /// shards, or reorders requests**, provided a `seed` is given.
 ///

@@ -315,7 +315,7 @@ pub struct DrainReport {
 /// throughout:
 ///
 /// * Every group runs through the fallible seam (`try_program` /
-///   `try_sample_*`), with readback-checksum verification of
+///   `try_sample_batch_rows`), with readback-checksum verification of
 ///   programmings and a binary sanity screen on every sampled batch.
 /// * A faulted group is **reprogrammed and retried** under the
 ///   builder's [`RetryPolicy`] (volatile weights: the upset that broke
@@ -1592,14 +1592,15 @@ fn serve_sample_group(
     let (outcome, delta, retries) = if degraded {
         // Circuit broken: serve from the deterministic software
         // fallback. Volatile-weights discipline still applies — program
-        // it for this group from the current snapshot.
+        // it for this group from the current snapshot, and charge the
+        // group for it as a primary group is charged.
         let fallback = replica
             .fallback
             .get_or_insert_with(|| Programmed::new(fabricate_fallback(&model, &snapshot)));
+        let before = *fallback.substrate.counters();
         fallback
             .program(&snapshot)
             .expect("the software fallback never faults");
-        let before = *fallback.substrate.counters();
         let samples = batch::sample_rows(&mut *fallback.substrate, &rows, gibbs_steps);
         let delta = fallback.substrate.counters().delta_since(&before);
         (Ok(samples), delta, 0u32)

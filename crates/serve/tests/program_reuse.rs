@@ -18,7 +18,7 @@ use ember_rbm::{Rbm, RngStreams};
 use ember_serve::batch;
 use ember_serve::{SampleRequest, SamplingService, ServeError, TrainRequest};
 use ember_substrate::{
-    ChaosConfig, ChaosSubstrate, HardwareCounters, ReplicableSubstrate, Substrate,
+    ChaosConfig, ChaosSubstrate, HardwareCounters, ReplicableSubstrate, Side, Substrate,
 };
 use ndarray::{Array1, Array2, ArrayView1, ArrayView2};
 use rand::rngs::StdRng;
@@ -68,25 +68,21 @@ impl Substrate for CountingGibbs {
     fn quantize_batch(&self, levels: &Array2<f64>) -> Array2<f64> {
         self.inner.quantize_batch(levels)
     }
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        self.inner.sample_hidden_batch(visible, rng)
-    }
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        self.inner.sample_visible_batch(hidden, rng)
-    }
-    fn sample_hidden_batch_rows(
+    fn sample_batch(
         &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        self.inner.sample_batch(side, clamp, rng)
+    }
+    fn sample_batch_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        self.inner.sample_hidden_batch_rows(visible, rngs)
-    }
-    fn sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        self.inner.sample_visible_batch_rows(hidden, rngs)
+        self.inner.sample_batch_rows(side, clamp, rngs)
     }
     fn counters(&self) -> &HardwareCounters {
         self.inner.counters()
@@ -212,14 +208,18 @@ fn degraded_groups_keep_their_accounting_and_follow_publishes() {
 
     // N degraded groups on one snapshot: the first programs the
     // fallback, the rest reuse it, and every group reports the same
-    // counters. (A degraded group reports its sampling work only: the
-    // fallback's programming words were never part of the reply.)
+    // counters. Like a primary group, a degraded one is charged its
+    // programming words, plus the read-out of its 1-row, 2-step chain.
     let service = degraded_service(v1);
     let replies: Vec<_> = (1..=5)
         .map(|i| service.sample(request(i)).unwrap())
         .collect();
     assert!(replies.iter().all(|r| r.degraded));
     assert!(replies.iter().all(|r| r.counters == replies[0].counters));
+    let words = (m * n + m + n) + 2 * (m + n);
+    for reply in &replies {
+        assert_eq!(reply.counters.host_words_transferred, words as u64);
+    }
 
     // A publish while degraded re-programs the fallback: its bits match
     // a service that degraded on the new snapshot from the start.

@@ -7,7 +7,7 @@
 //! place trained state exists. This crate makes that state survive the
 //! host too:
 //!
-//! * [`format`] — the `EMBS` snapshot format: versioned, little-endian,
+//! * [`format`](mod@format) — the `EMBS` snapshot format: versioned, little-endian,
 //!   checksummed at two layers (whole-file FNV-1a plus the serving
 //!   layer's own [`couplings_checksum`](ember_core::couplings_checksum)
 //!   per model version, recomputed from the *decoded* parameters), with

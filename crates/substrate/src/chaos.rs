@@ -12,13 +12,13 @@
 //! [`SubstrateFault`]s, and — for supervision tests — panic once.
 //!
 //! Faults are injected only through the **fallible** entry points
-//! (`try_program` / `try_sample_*`): the infallible API forwards to the
-//! inner substrate untouched and remains the golden path. When the
-//! schedule injects nothing, a fallible call is bit-identical to the
-//! inner substrate's — the chaos RNG is private, so the wrapped
-//! machine's sampled bits never depend on it. That is the property the
-//! chaos suite leans on: a request that survives (or is successfully
-//! retried) returns exactly the fault-free samples.
+//! (`try_program` / `try_sample_batch_rows`): the infallible API
+//! forwards to the inner substrate untouched and remains the golden
+//! path. When the schedule injects nothing, a fallible call is
+//! bit-identical to the inner substrate's — the chaos RNG is private,
+//! so the wrapped machine's sampled bits never depend on it. That is
+//! the property the chaos suite leans on: a request that survives (or
+//! is successfully retried) returns exactly the fault-free samples.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,14 +28,16 @@ use ndarray::{Array2, ArrayView1, ArrayView2};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::{HardwareCounters, ReplicableSubstrate, Substrate, SubstrateFault};
+use crate::{
+    couplings_checksum, HardwareCounters, ReplicableSubstrate, Side, Substrate, SubstrateFault,
+};
 
 /// Fault schedule of a [`ChaosSubstrate`]: per-event probabilities,
 /// all driven by one seeded RNG so a schedule reproduces exactly.
 ///
-/// Rates are per *operation* (one `try_program`, one `try_sample_*`
-/// call), not per element. All rates default to zero — the default
-/// config injects nothing.
+/// Rates are per *operation* (one `try_program`, one
+/// `try_sample_batch_rows` call), not per element. All rates default
+/// to zero — the default config injects nothing.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Seed of the private chaos RNG.
@@ -48,14 +50,14 @@ pub struct ChaosConfig {
     /// stuck value. Detected by readback checksum
     /// ([`Substrate::programmed_checksum`]).
     pub program_corruption_rate: f64,
-    /// Probability that a `try_sample_*` call fails outright
+    /// Probability that a `try_sample_batch_rows` call fails outright
     /// ([`SubstrateFault::Read`]).
     pub read_fault_rate: f64,
-    /// Probability that a `try_sample_*` call returns a batch with a
-    /// few cells latched mid-rail (written as `0.5`) — caught by the
-    /// host's non-binary sanity screen.
+    /// Probability that a `try_sample_batch_rows` call returns a batch
+    /// with a few cells latched mid-rail (written as `0.5`) — caught by
+    /// the host's non-binary sanity screen.
     pub read_corruption_rate: f64,
-    /// Probability that a `try_sample_*` call stalls for
+    /// Probability that a `try_sample_batch_rows` call stalls for
     /// [`ChaosConfig::latency_spike`] before answering.
     pub latency_spike_rate: f64,
     /// Duration of an injected latency spike.
@@ -107,8 +109,8 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the outright-failure rates (`try_program` / `try_sample_*`
-    /// returning `Err`) only.
+    /// Sets the outright-failure rates (`try_program` /
+    /// `try_sample_batch_rows` returning `Err`) only.
     ///
     /// # Panics
     ///
@@ -186,8 +188,7 @@ impl ChaosConfig {
 /// #     fn visible_len(&self) -> usize { 2 }
 /// #     fn hidden_len(&self) -> usize { 2 }
 /// #     fn program(&mut self, _: &ArrayView2<'_, f64>, _: &ArrayView1<'_, f64>, _: &ArrayView1<'_, f64>) {}
-/// #     fn sample_hidden_batch(&mut self, v: &Array2<f64>, _: &mut dyn RngCore) -> Array2<f64> { Array2::zeros((v.nrows(), 2)) }
-/// #     fn sample_visible_batch(&mut self, h: &Array2<f64>, _: &mut dyn RngCore) -> Array2<f64> { Array2::zeros((h.nrows(), 2)) }
+/// #     fn sample_batch(&mut self, _: ember_substrate::Side, c: &Array2<f64>, _: &mut dyn RngCore) -> Array2<f64> { Array2::zeros((c.nrows(), 2)) }
 /// #     fn counters(&self) -> &ember_substrate::HardwareCounters { &self.0 }
 /// #     fn counters_mut(&mut self) -> &mut ember_substrate::HardwareCounters { &mut self.0 }
 /// # }
@@ -247,35 +248,14 @@ impl ChaosSubstrate {
         &self.config
     }
 
-    /// FNV-1a over the bit patterns of a programming image — the same
-    /// digest `ember_core::recovery::couplings_checksum` computes on
-    /// the host side, duplicated here so the readback seam does not
-    /// invert the crate dependency.
-    fn image_checksum(
-        weights: &ArrayView2<'_, f64>,
-        visible_bias: &ArrayView1<'_, f64>,
-        hidden_bias: &ArrayView1<'_, f64>,
-    ) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: f64| {
-            for byte in x.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        weights.iter().copied().for_each(&mut eat);
-        visible_bias.iter().copied().for_each(&mut eat);
-        hidden_bias.iter().copied().for_each(&mut eat);
-        hash
-    }
-
     fn roll(&mut self, p: f64) -> bool {
         p > 0.0 && self.chaos_rng.random::<f64>() < p
     }
 
-    /// Pre-sampling chaos shared by all four `try_sample_*` paths:
-    /// burn the panic fuse if armed, stall on a latency spike, raise a
-    /// hard read fault. `Ok(())` means the read may proceed.
+    /// Pre-sampling chaos of the fallible read
+    /// ([`Substrate::try_sample_batch_rows`]): burn the panic fuse if
+    /// armed, stall on a latency spike, raise a hard read fault.
+    /// `Ok(())` means the read may proceed.
     fn before_sample(&mut self) -> Result<(), SubstrateFault> {
         let call = self.sample_calls;
         self.sample_calls += 1;
@@ -341,35 +321,29 @@ impl Substrate for ChaosSubstrate {
         hidden_bias: &ArrayView1<'_, f64>,
     ) {
         self.inner.program(weights, visible_bias, hidden_bias);
-        self.realized_checksum = Some(Self::image_checksum(weights, visible_bias, hidden_bias));
+        self.realized_checksum = Some(couplings_checksum(weights, visible_bias, hidden_bias));
     }
 
     fn quantize_batch(&self, levels: &Array2<f64>) -> Array2<f64> {
         self.inner.quantize_batch(levels)
     }
 
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        self.inner.sample_hidden_batch(visible, rng)
-    }
-
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        self.inner.sample_visible_batch(hidden, rng)
-    }
-
-    fn sample_hidden_batch_rows(
+    fn sample_batch(
         &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        self.inner.sample_batch(side, clamp, rng)
+    }
+
+    fn sample_batch_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        self.inner.sample_hidden_batch_rows(visible, rngs)
-    }
-
-    fn sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        self.inner.sample_visible_batch_rows(hidden, rngs)
+        self.inner.sample_batch_rows(side, clamp, rngs)
     }
 
     fn try_program(
@@ -403,7 +377,7 @@ impl Substrate for ChaosSubstrate {
             }
             self.inner
                 .program(&corrupted.view(), visible_bias, hidden_bias);
-            self.realized_checksum = Some(Self::image_checksum(
+            self.realized_checksum = Some(couplings_checksum(
                 &corrupted.view(),
                 visible_bias,
                 hidden_bias,
@@ -415,46 +389,14 @@ impl Substrate for ChaosSubstrate {
         Ok(())
     }
 
-    fn try_sample_hidden_batch(
+    fn try_sample_batch_rows(
         &mut self,
-        visible: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        self.before_sample()?;
-        let mut out = self.inner.try_sample_hidden_batch(visible, rng)?;
-        self.corrupt_read(&mut out);
-        Ok(out)
-    }
-
-    fn try_sample_visible_batch(
-        &mut self,
-        hidden: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        self.before_sample()?;
-        let mut out = self.inner.try_sample_visible_batch(hidden, rng)?;
-        self.corrupt_read(&mut out);
-        Ok(out)
-    }
-
-    fn try_sample_hidden_batch_rows(
-        &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Result<Array2<f64>, SubstrateFault> {
         self.before_sample()?;
-        let mut out = self.inner.try_sample_hidden_batch_rows(visible, rngs)?;
-        self.corrupt_read(&mut out);
-        Ok(out)
-    }
-
-    fn try_sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        self.before_sample()?;
-        let mut out = self.inner.try_sample_visible_batch_rows(hidden, rngs)?;
+        let mut out = self.inner.try_sample_batch_rows(side, clamp, rngs)?;
         self.corrupt_read(&mut out);
         Ok(out)
     }
@@ -531,19 +473,16 @@ mod tests {
             self.last_weights = weights.to_owned();
             self.counters.host_words_transferred += self.programming_cost();
         }
-        fn sample_hidden_batch(
+        fn sample_batch(
             &mut self,
-            visible: &Array2<f64>,
+            side: Side,
+            clamp: &Array2<f64>,
             _rng: &mut dyn RngCore,
         ) -> Array2<f64> {
-            Array2::from_elem((visible.nrows(), self.n), 1.0)
-        }
-        fn sample_visible_batch(
-            &mut self,
-            hidden: &Array2<f64>,
-            _rng: &mut dyn RngCore,
-        ) -> Array2<f64> {
-            Array2::zeros((hidden.nrows(), self.m))
+            match side {
+                Side::Hidden => Array2::from_elem((clamp.nrows(), self.n), 1.0),
+                Side::Visible => Array2::zeros((clamp.nrows(), self.m)),
+            }
         }
         fn counters(&self) -> &HardwareCounters {
             &self.counters
@@ -555,6 +494,17 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// One fallible hidden read of `v`, every row on a fresh `rng()`.
+    fn try_read<S: Substrate + ?Sized>(
+        sub: &mut S,
+        v: &Array2<f64>,
+    ) -> Result<Array2<f64>, SubstrateFault> {
+        let mut rngs: Vec<StdRng> = (0..v.nrows()).map(|_| rng()).collect();
+        let mut lanes: Vec<&mut dyn RngCore> =
+            rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+        sub.try_sample_batch_rows(Side::Hidden, v, &mut lanes)
     }
 
     fn image(m: usize, n: usize) -> (Array2<f64>, Array1<f64>, Array1<f64>) {
@@ -575,8 +525,8 @@ mod tests {
             .try_program(&w.view(), &bv.view(), &bh.view())
             .unwrap();
         let v = Array2::from_elem((4, 3), 1.0);
-        let a = plain.sample_hidden_batch(&v, &mut rng());
-        let b = chaotic.try_sample_hidden_batch(&v, &mut rng()).unwrap();
+        let a = try_read(&mut plain, &v).unwrap();
+        let b = try_read(&mut chaotic, &v).unwrap();
         assert_eq!(a, b);
         assert_eq!(chaotic.counters().total_fault_events(), 0);
         // The fallibility hint is what buys recovery layers their
@@ -599,7 +549,7 @@ mod tests {
         ));
         let v = Array2::zeros((1, 2));
         assert!(matches!(
-            chaotic.try_sample_hidden_batch(&v, &mut rng()),
+            try_read(&mut chaotic, &v),
             Err(SubstrateFault::Read(_))
         ));
         assert_eq!(chaotic.counters().substrate_faults, 2);
@@ -615,7 +565,7 @@ mod tests {
         chaotic
             .try_program(&w.view(), &bv.view(), &bh.view())
             .unwrap();
-        let expected = ChaosSubstrate::image_checksum(&w.view(), &bv.view(), &bh.view());
+        let expected = couplings_checksum(&w.view(), &bv.view(), &bh.view());
         let actual = chaotic.programmed_checksum().unwrap();
         assert_ne!(expected, actual, "corruption must shift the checksum");
         assert_eq!(chaotic.counters().corrupted_programmings, 1);
@@ -631,7 +581,7 @@ mod tests {
             ChaosConfig::new(4).with_corruption_rate(1.0),
         );
         let v = Array2::zeros((2, 3));
-        let out = chaotic.try_sample_hidden_batch(&v, &mut rng()).unwrap();
+        let out = try_read(&mut chaotic, &v).unwrap();
         assert!(
             out.iter().any(|&x| x != 0.0 && x != 1.0),
             "corruption must be detectable by a binary screen"
@@ -648,7 +598,7 @@ mod tests {
             );
             let v = Array2::zeros((1, 2));
             (0..32)
-                .map(|_| chaotic.try_sample_hidden_batch(&v, &mut rng()).is_err())
+                .map(|_| try_read(&mut chaotic, &v).is_err())
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run());
@@ -666,13 +616,13 @@ mod tests {
         let mut replica_b = proto.clone();
         let v = Array2::zeros((1, 2));
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = replica_a.try_sample_hidden_batch(&v, &mut rng());
+            let _ = try_read(&mut replica_a, &v);
         }));
         assert!(panicked.is_err(), "the armed fuse must panic first");
         // The sibling replica shares the burnt fuse: it serves cleanly.
-        assert!(replica_b.try_sample_hidden_batch(&v, &mut rng()).is_ok());
+        assert!(try_read(&mut replica_b, &v).is_ok());
         // And so does the panicked replica itself on a later call.
-        assert!(replica_a.try_sample_hidden_batch(&v, &mut rng()).is_ok());
+        assert!(try_read(&mut replica_a, &v).is_ok());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 use std::error::Error;
 use std::fmt;
 
+use ndarray::{ArrayView1, ArrayView2};
+
 /// A transient hardware fault raised by a substrate's fallible entry
 /// points ([`crate::Substrate::try_program`] /
-/// [`crate::Substrate::try_sample_hidden_batch_rows`] / …).
+/// [`crate::Substrate::try_sample_batch_rows`]).
 ///
 /// The paper's operating regime makes these the *expected* failure
 /// class, not an exception: analog weights live on leaky gate charges
@@ -56,6 +58,32 @@ impl fmt::Display for SubstrateFault {
 }
 
 impl Error for SubstrateFault {}
+
+/// FNV-1a digest over the bit patterns of a programming image
+/// (`weights`, then `visible_bias`, then `hidden_bias`, row-major).
+///
+/// This is the one readback digest: a backend with readback reports it
+/// over the couplings it *realized*
+/// ([`crate::Substrate::programmed_checksum`]), and the host compares
+/// it against this digest of the *intended* image. A mismatch is a
+/// [`SubstrateFault::Readback`].
+pub fn couplings_checksum(
+    weights: &ArrayView2<'_, f64>,
+    visible_bias: &ArrayView1<'_, f64>,
+    hidden_bias: &ArrayView1<'_, f64>,
+) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: f64| {
+        for byte in x.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    weights.iter().copied().for_each(&mut eat);
+    visible_bias.iter().copied().for_each(&mut eat);
+    hidden_bias.iter().copied().for_each(&mut eat);
+    hash
+}
 
 #[cfg(test)]
 mod tests {

@@ -40,7 +40,7 @@ pub struct HardwareCounters {
     /// fleet is actually on the fast tier.
     pub simd_kernel_calls: u64,
     /// Hard substrate faults raised through the fallible entry points
-    /// (`try_program` / `try_sample_*`): the operation failed outright
+    /// (`try_program` / `try_sample_batch_rows`): the operation failed outright
     /// and returned a `SubstrateFault` instead of data.
     pub substrate_faults: u64,
     /// Programming events that realized **corrupted** couplings

@@ -15,8 +15,8 @@
 //! |---|---|
 //! | 1–2. host programs the coupling matrix and biases (`m·n + m + n` words) | [`Substrate::program`] / [`Substrate::programming_cost`] |
 //! | 3. visible units are clamped through DTCs | [`Substrate::quantize_batch`] |
-//! | 4–5. the clamped side drives the free side, which settles and is read out | [`Substrate::sample_hidden_batch`] / [`Substrate::sample_visible_batch`] |
-//! | 6. alternate clamped sides for the k-step Gibbs equivalent | callers alternate the two sampling methods |
+//! | 4–5. the clamped side drives the free side, which settles and is read out | [`Substrate::sample_batch`], given the [`Side`] to sample |
+//! | 6. alternate clamped sides for the k-step Gibbs equivalent | callers alternate [`Side::Hidden`] and [`Side::Visible`] |
 //! | 7–8. the host accumulates `⟨v⁺ᵀh⁺⟩ − ⟨v⁻ᵀh⁻⟩` and updates weights | host-side (trainers); substrate only reports [`Substrate::counters`] |
 //!
 //! Implementations live next to their physics: `ember_core` ships
@@ -32,17 +32,18 @@
 //!
 //! Three extensions serve the sharded serving layer (`ember_serve`):
 //!
-//! * the `*_batch_rows` methods sample a whole batch under **one RNG
-//!   stream per row**, so a row's bits depend only on its own stream —
-//!   the property that makes request coalescing invisible in the
-//!   samples;
+//! * [`Substrate::sample_batch_rows`] samples a whole batch under **one
+//!   RNG stream per row**, so a row's bits depend only on its own
+//!   stream — the property that makes request coalescing invisible in
+//!   the samples;
 //! * [`ReplicableSubstrate`] (sealed) adds
 //!   [`ReplicableSubstrate::clone_boxed`], letting a service clone a
 //!   fabricated prototype into per-shard replicas behind `dyn`; and
-//! * the **fallible seam** — `try_program` / `try_sample_*` returning
-//!   [`SubstrateFault`], plus [`Substrate::programmed_checksum`]
-//!   readback — models hardware that can drop a transfer, realize
-//!   stuck-at couplings, or read out garbage. Every method is
+//! * the **fallible seam** — [`Substrate::try_program`] /
+//!   [`Substrate::try_sample_batch_rows`] returning [`SubstrateFault`],
+//!   plus [`Substrate::programmed_checksum`] readback checked against
+//!   [`couplings_checksum`] — models hardware that can drop a transfer,
+//!   realize stuck-at couplings, or read out garbage. Both methods are
 //!   default-implemented over the infallible API (existing backends
 //!   never fail); the seed-driven [`ChaosSubstrate`] decorator injects
 //!   faults through it for resilience testing, and
@@ -60,8 +61,17 @@ mod fault;
 mod instrument;
 
 pub use chaos::{ChaosConfig, ChaosSubstrate};
-pub use fault::SubstrateFault;
+pub use fault::{couplings_checksum, SubstrateFault};
 pub use instrument::HardwareCounters;
+
+/// The side a half-step samples; the other side is clamped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Forward: clamp the visible side, sample the hidden side.
+    Hidden,
+    /// Reverse: clamp the hidden side, sample the visible side.
+    Visible,
+}
 
 /// A conditional-sampling backend for bipartite energy-based models.
 ///
@@ -70,9 +80,9 @@ pub use instrument::HardwareCounters;
 ///
 /// 1. the host calls [`Substrate::program`] with its master weights;
 /// 2. data rows are clamped through [`Substrate::quantize_batch`];
-/// 3. alternating [`Substrate::sample_hidden_batch`] /
-///    [`Substrate::sample_visible_batch`] calls realize the k-step
-///    Gibbs equivalent;
+/// 3. alternating [`Side::Hidden`] / [`Side::Visible`]
+///    [`Substrate::sample_batch`] calls realize the k-step Gibbs
+///    equivalent;
 /// 4. the host reads [`Substrate::counters`] to convert the work into
 ///    execution time and energy (crate `ember-perf`).
 ///
@@ -121,83 +131,95 @@ pub trait Substrate {
         levels.clone()
     }
 
-    /// §3.2 steps 4–5, forward direction, whole minibatch: clamp each
-    /// row of `visible` (`batch × m`, levels in `[0, 1]`), let the
-    /// hidden side settle, read it out. Returns `batch × n` samples in
-    /// `{0, 1}`.
+    /// §3.2 steps 4–5, whole minibatch: clamp each row of `clamp`
+    /// (levels in `[0, 1]`) on the side opposite `side`, let `side`
+    /// settle, read it out. `clamp` is `batch × m` when sampling
+    /// [`Side::Hidden`] and `batch × n` when sampling [`Side::Visible`];
+    /// the result is `batch × n` or `batch × m` samples in `{0, 1}`.
     ///
     /// # Panics
     ///
-    /// Panics if `visible` has a row width other than `visible_len()`.
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64>;
+    /// Panics if `clamp` has a row width other than the clamped side's
+    /// length.
+    fn sample_batch(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64>;
 
-    /// §3.2 steps 4–5, reverse direction: clamp the hidden side
-    /// (`batch × n`), sample the visible side. Returns `batch × m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hidden` has a row width other than `hidden_len()`.
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64>;
-
-    /// Forward batch sample with **one RNG stream per row**: row `i` of
-    /// the output is drawn using `rngs[i]` and nothing else.
+    /// [`Substrate::sample_batch`] with **one RNG stream per row**: row
+    /// `i` of the output is drawn using `rngs[i]` and nothing else.
     ///
     /// The contract — relied on by the serving layer's request
     /// coalescing — is that row `i` depends only on the programmed
-    /// parameters, `visible` row `i`, and the state of `rngs[i]`:
+    /// parameters, `clamp` row `i`, and the state of `rngs[i]`:
     /// *never* on the other rows of the batch or on state left behind
     /// by earlier calls. Under this contract the same row produces the
     /// same bits whether it is sampled alone or coalesced into any
     /// batch, on any replica programmed with the same parameters.
     ///
     /// The default implementation runs one 1-row
-    /// [`Substrate::sample_hidden_batch`] per row under that row's
-    /// stream, so its counters are the sum of those calls;
-    /// implementations with a batched fast path (GEMM over the whole
-    /// batch) may override it, and implementations with persistent
-    /// physical state must re-initialize that state per row to honor
-    /// the contract.
+    /// [`Substrate::sample_batch`] per row under that row's stream, so
+    /// its counters are the sum of those calls; implementations with a
+    /// batched fast path (GEMM over the whole batch) may override it,
+    /// and implementations with persistent physical state must
+    /// re-initialize that state per row to honor the contract.
     ///
     /// # Panics
     ///
-    /// Panics if `rngs.len() != visible.nrows()` or on row-width
+    /// Panics if `rngs.len() != clamp.nrows()` or on row-width
     /// mismatch.
+    fn sample_batch_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
+        rngs: &mut [&mut dyn RngCore],
+    ) -> Array2<f64> {
+        assert_eq!(clamp.nrows(), rngs.len(), "one RNG stream per row");
+        let width = match side {
+            Side::Hidden => self.hidden_len(),
+            Side::Visible => self.visible_len(),
+        };
+        let mut out = Array2::zeros((clamp.nrows(), width));
+        for (i, rng) in rngs.iter_mut().enumerate() {
+            let row = clamp.slice(s![i..=i, ..]).to_owned();
+            out.row_mut(i)
+                .assign(&self.sample_batch(side, &row, &mut **rng).row(0));
+        }
+        out
+    }
+
+    /// Forward half-step: [`Substrate::sample_batch`] of
+    /// [`Side::Hidden`] with `visible` (`batch × m`) clamped.
+    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
+        self.sample_batch(Side::Hidden, visible, rng)
+    }
+
+    /// Reverse half-step: [`Substrate::sample_batch`] of
+    /// [`Side::Visible`] with `hidden` (`batch × n`) clamped.
+    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
+        self.sample_batch(Side::Visible, hidden, rng)
+    }
+
+    /// Forward half-step, one RNG stream per row:
+    /// [`Substrate::sample_batch_rows`] of [`Side::Hidden`].
     fn sample_hidden_batch_rows(
         &mut self,
         visible: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        assert_eq!(visible.nrows(), rngs.len(), "one RNG stream per row");
-        let mut out = Array2::zeros((visible.nrows(), self.hidden_len()));
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            let row = visible.slice(s![i..=i, ..]).to_owned();
-            out.row_mut(i)
-                .assign(&self.sample_hidden_batch(&row, &mut **rng).row(0));
-        }
-        out
+        self.sample_batch_rows(Side::Hidden, visible, rngs)
     }
 
-    /// Reverse-direction counterpart of
-    /// [`Substrate::sample_hidden_batch_rows`]: clamp hidden rows,
-    /// sample visible rows, one RNG stream per row, same row-independence
-    /// contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rngs.len() != hidden.nrows()` or on row-width mismatch.
+    /// Reverse half-step, one RNG stream per row:
+    /// [`Substrate::sample_batch_rows`] of [`Side::Visible`].
     fn sample_visible_batch_rows(
         &mut self,
         hidden: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        assert_eq!(hidden.nrows(), rngs.len(), "one RNG stream per row");
-        let mut out = Array2::zeros((hidden.nrows(), self.visible_len()));
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            let row = hidden.slice(s![i..=i, ..]).to_owned();
-            out.row_mut(i)
-                .assign(&self.sample_visible_batch(&row, &mut **rng).row(0));
-        }
-        out
+        self.sample_batch_rows(Side::Visible, hidden, rngs)
     }
 
     /// Fallible counterpart of [`Substrate::program`] — §3.2 steps 1–2
@@ -219,54 +241,25 @@ pub trait Substrate {
         Ok(())
     }
 
-    /// Fallible counterpart of [`Substrate::sample_hidden_batch`].
+    /// Fallible counterpart of [`Substrate::sample_batch_rows`] (same
+    /// one-stream-per-row contract) — the read the serving layer makes.
     /// Defaults to the infallible method (never fails).
-    fn try_sample_hidden_batch(
-        &mut self,
-        visible: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        Ok(self.sample_hidden_batch(visible, rng))
-    }
-
-    /// Fallible counterpart of [`Substrate::sample_visible_batch`].
-    /// Defaults to the infallible method (never fails).
-    fn try_sample_visible_batch(
-        &mut self,
-        hidden: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        Ok(self.sample_visible_batch(hidden, rng))
-    }
-
-    /// Fallible counterpart of [`Substrate::sample_hidden_batch_rows`]
-    /// (same one-stream-per-row contract). Defaults to the infallible
-    /// method (never fails).
     ///
     /// A failed call may have consumed an arbitrary amount of each
     /// row's RNG stream; retries must restart every chain from its seed
     /// (which is also what makes a successful retry bit-identical to
     /// the fault-free run).
-    fn try_sample_hidden_batch_rows(
+    fn try_sample_batch_rows(
         &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Result<Array2<f64>, SubstrateFault> {
-        Ok(self.sample_hidden_batch_rows(visible, rngs))
-    }
-
-    /// Fallible counterpart of [`Substrate::sample_visible_batch_rows`].
-    /// Defaults to the infallible method (never fails).
-    fn try_sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        Ok(self.sample_visible_batch_rows(hidden, rngs))
+        Ok(self.sample_batch_rows(side, clamp, rngs))
     }
 
     /// Whether this substrate can actually fail or corrupt: `true`
-    /// means the `try_*` seam may return `Err` or hand back non-binary
+    /// means the fallible seam may return `Err` or hand back non-binary
     /// read-outs, so callers should pay for detection (per-read sanity
     /// screens, readback verification). The default `false` declares an
     /// infallible backend — recovery layers skip their screens
@@ -283,8 +276,8 @@ pub trait Substrate {
     /// the host must trust the transfer.
     ///
     /// When `Some`, a recovery layer compares it against the checksum
-    /// of the intended image (`ember_core::recovery::couplings_checksum`)
-    /// to detect stuck-at corruption before sampling garbage.
+    /// of the intended image ([`couplings_checksum`]) to detect stuck-at
+    /// corruption before sampling garbage.
     fn programmed_checksum(&self) -> Option<u64> {
         None
     }
@@ -325,25 +318,21 @@ impl<S: Substrate + ?Sized> Substrate for Box<S> {
     fn quantize_batch(&self, levels: &Array2<f64>) -> Array2<f64> {
         (**self).quantize_batch(levels)
     }
-    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        (**self).sample_hidden_batch(visible, rng)
-    }
-    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        (**self).sample_visible_batch(hidden, rng)
-    }
-    fn sample_hidden_batch_rows(
+    fn sample_batch(
         &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        (**self).sample_batch(side, clamp, rng)
+    }
+    fn sample_batch_rows(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        (**self).sample_hidden_batch_rows(visible, rngs)
-    }
-    fn sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        (**self).sample_visible_batch_rows(hidden, rngs)
+        (**self).sample_batch_rows(side, clamp, rngs)
     }
     fn try_program(
         &mut self,
@@ -353,33 +342,13 @@ impl<S: Substrate + ?Sized> Substrate for Box<S> {
     ) -> Result<(), SubstrateFault> {
         (**self).try_program(weights, visible_bias, hidden_bias)
     }
-    fn try_sample_hidden_batch(
+    fn try_sample_batch_rows(
         &mut self,
-        visible: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        (**self).try_sample_hidden_batch(visible, rng)
-    }
-    fn try_sample_visible_batch(
-        &mut self,
-        hidden: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        (**self).try_sample_visible_batch(hidden, rng)
-    }
-    fn try_sample_hidden_batch_rows(
-        &mut self,
-        visible: &Array2<f64>,
+        side: Side,
+        clamp: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Result<Array2<f64>, SubstrateFault> {
-        (**self).try_sample_hidden_batch_rows(visible, rngs)
-    }
-    fn try_sample_visible_batch_rows(
-        &mut self,
-        hidden: &Array2<f64>,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        (**self).try_sample_visible_batch_rows(hidden, rngs)
+        (**self).try_sample_batch_rows(side, clamp, rngs)
     }
     fn is_fallible(&self) -> bool {
         (**self).is_fallible()
@@ -472,20 +441,18 @@ mod tests {
             assert_eq!(weights.dim(), (self.m, self.n));
             self.counters.host_words_transferred += self.programming_cost();
         }
-        fn sample_hidden_batch(
+        fn sample_batch(
             &mut self,
-            visible: &Array2<f64>,
+            side: Side,
+            clamp: &Array2<f64>,
             _rng: &mut dyn RngCore,
         ) -> Array2<f64> {
-            // "All hidden units latch 1" — enough to observe shapes.
-            Array2::from_elem((visible.nrows(), self.n), 1.0)
-        }
-        fn sample_visible_batch(
-            &mut self,
-            hidden: &Array2<f64>,
-            _rng: &mut dyn RngCore,
-        ) -> Array2<f64> {
-            Array2::zeros((hidden.nrows(), self.m))
+            // "All hidden units latch 1, all visible 0" — enough to
+            // observe shapes.
+            match side {
+                Side::Hidden => Array2::from_elem((clamp.nrows(), self.n), 1.0),
+                Side::Visible => Array2::zeros((clamp.nrows(), self.m)),
+            }
         }
         fn counters(&self) -> &HardwareCounters {
             &self.counters

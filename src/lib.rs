@@ -12,7 +12,7 @@
 //! | [`ising`] | `ember-ising` | Ising model, QUBO, max-cut, simulated annealing |
 //! | [`brim`] | `ember-brim` | BRIM dynamical substrate simulator |
 //! | [`analog`] | `ember-analog` | Sigmoid unit, thermal RNG, comparator, converters, charge pump, noise models |
-//! | [`substrate`] | `ember-substrate` | The [`substrate::Substrate`] trait: the seam between trainers and interchangeable sampling backends — including the fallible `try_*` entry points, fault taxonomy (`SubstrateFault`), and the seeded fault-injecting `ChaosSubstrate` decorator |
+//! | [`substrate`] | `ember-substrate` | The [`substrate::Substrate`] trait: the seam between trainers and interchangeable sampling backends — one `sample_batch` half-step per `Side`, the fallible `try_program` / `try_sample_batch_rows` entry points, fault taxonomy (`SubstrateFault`) with its readback digest (`couplings_checksum`), and the seeded fault-injecting `ChaosSubstrate` decorator |
 //! | [`rbm`] | `ember-rbm` | RBM, CD-k/PCD/exact-ML trainers (substrate-generic), DBN, MLP, conv-RBM patches |
 //! | [`core`] | `ember-core` | **The paper's contribution**: Gibbs Sampler and Boltzmann Gradient Follower accelerator models, the three `Substrate` backends (`core::substrate`), the `SubstrateSpec` fabrication recipes, and the bit-packed binary-state sampling kernels (`core::kernels`) |
 //! | [`serve`] | `ember-serve` | Sampling-as-a-service: `ModelRegistry` of named versioned RBMs, sharded request-coalescing `SamplingService` over any substrate backend, self-healing under faults (retry-with-reprogram, circuit breakers, shard supervision, deadlines, bounded drain) |
