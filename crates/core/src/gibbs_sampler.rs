@@ -1,7 +1,7 @@
-use ndarray::{Array2, Axis};
-use rand::{Rng, RngCore};
+use ndarray::Array2;
+use rand::Rng;
 
-use ember_rbm::{EpochStats, Rbm};
+use ember_rbm::{CdTrainer, EpochStats, Rbm};
 use ember_substrate::{HardwareCounters, Substrate};
 
 use crate::substrate::SoftwareGibbs;
@@ -19,6 +19,12 @@ use crate::GsConfig;
 /// 3. the equivalent of `k`-step Gibbs sampling runs by alternately
 ///    clamping sides and letting the substrate produce samples;
 /// 4. the host accumulates `⟨v⁺ᵀh⁺⟩ − ⟨v⁻ᵀh⁻⟩` and updates the weights.
+///
+/// That loop is [`CdTrainer::train_epoch_with`]: an epoch runs it on this
+/// accelerator's substrate at the configured `k` and learning rate. The
+/// batch's chains run at once, one [`Substrate::sample_batch`] call per
+/// conditional-sampling step, and the gradient accumulates through two
+/// GEMMs (`v⁺ᵀh⁺`, `v⁻ᵀh⁻`).
 ///
 /// The accelerator is generic over the sampling backend: any
 /// [`Substrate`] slots in (the software analog node path, the BRIM
@@ -139,17 +145,10 @@ impl<S: Substrate> GibbsSampler<S> {
         self.substrate.counters()
     }
 
-    /// Programs the host weights onto the substrate (§3.2 step 2).
-    fn program(&mut self) {
-        self.substrate.program(
-            &self.rbm.weights().view(),
-            &self.rbm.visible_bias().view(),
-            &self.rbm.hidden_bias().view(),
-        );
-    }
-
     /// One epoch of substrate-accelerated CD-k (Algorithm 1 with steps
-    /// 9–15 offloaded). Returns epoch statistics.
+    /// 9–15 offloaded): [`CdTrainer::train_epoch_with`] at the
+    /// configured `k` and learning rate, without momentum or weight
+    /// decay. Returns epoch statistics.
     ///
     /// # Panics
     ///
@@ -160,72 +159,13 @@ impl<S: Substrate> GibbsSampler<S> {
         batch_size: usize,
         rng: &mut R,
     ) -> EpochStats {
-        assert_eq!(data.ncols(), self.rbm.visible_len(), "data width mismatch");
-        assert!(batch_size >= 1, "batch size must be positive");
-        let mut stats = Vec::new();
-        let rows = data.nrows();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            stats.push(self.train_batch(&batch, rng));
-            start = end;
-        }
-        let collected: Vec<(f64, f64)> = stats;
-        EpochStats::accumulate(&collected)
-    }
-
-    /// Trains on one minibatch. All of its substrate chains run at once:
-    /// one [`Substrate::sample_hidden_batch`] /
-    /// [`Substrate::sample_visible_batch`] call per conditional-sampling
-    /// step, and the gradient accumulates through two GEMMs (`v⁺ᵀh⁺`,
-    /// `v⁻ᵀh⁻`). With the default [`SoftwareGibbs`] backend every
-    /// sampling step is a single GEMM over the `batch × layer` matrix;
-    /// results are bit-identical at every rayon thread count.
-    fn train_batch<R: Rng + ?Sized>(&mut self, batch: &Array2<f64>, rng: &mut R) -> (f64, f64) {
-        let mut rng = rng;
-        let rng: &mut dyn RngCore = &mut rng;
-        let (m, n) = self.rbm.weights().dim();
-        let rows = batch.nrows();
-        let bs = rows as f64;
-        let k = self.config.k();
-        // Step 2: (re)program the current weights.
-        self.program();
-
-        // Steps 3–4: positive phase, whole minibatch at once. Only the
-        // data needs DTC quantization — the read-outs fed back below are
-        // already exactly {0, 1}, on which quantization is the identity.
-        let clamped = self.substrate.quantize_batch(batch);
-        let h_pos = self.substrate.sample_hidden_batch(&clamped, rng);
-        // Steps 5–6: k-step Gibbs equivalent on the substrate, batched.
-        let mut h_neg = h_pos.clone();
-        let mut v_neg = batch.clone();
-        for _ in 0..k {
-            v_neg = self.substrate.sample_visible_batch(&h_neg, rng);
-            h_neg = self.substrate.sample_hidden_batch(&v_neg, rng);
-        }
-
-        // Host-side event bookkeeping (settle phase points and read-out
-        // words were counted by the substrate per call).
-        let counters = self.substrate.counters_mut();
-        counters.positive_samples += rows as u64;
-        counters.negative_samples += rows as u64;
-        counters.host_mac_ops += rows as u64 * 2 * (m * n) as u64;
-
-        // Step 7/8: batched GEMM accumulation + host gradient update
-        // (mirrors the software trainer's formulation).
-        let alpha = self.config.learning_rate();
-        let grad_w = (batch.t().dot(&h_pos) - v_neg.t().dot(&h_neg)) / bs;
-        let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
-        let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
-        let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
-        *self.rbm.weights_mut() += &(&grad_w * alpha);
-        *self.rbm.visible_bias_mut() += &(&grad_bv * (alpha));
-        *self.rbm.hidden_bias_mut() += &(&grad_bh * (alpha));
-        self.substrate.counters_mut().host_mac_ops += (m * n + m + n) as u64;
-
-        let recon = (&v_neg - batch).mapv(f64::abs).mean().unwrap_or(0.0);
-        (recon, grad_norm)
+        CdTrainer::new(self.config.k(), self.config.learning_rate()).train_epoch_with(
+            &mut self.rbm,
+            data,
+            batch_size,
+            &mut self.substrate,
+            rng,
+        )
     }
 }
 
@@ -304,12 +244,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let rbm = Rbm::random(4, 3, 0.01, &mut rng);
         let config = GsConfig::default().with_noise(NoiseModel::new(0.2, 0.0).unwrap());
-        let gs = GibbsSampler::new(rbm, config, &mut rng);
+        let mut gs = GibbsSampler::new(rbm, config, &mut rng);
         let v1 = gs.substrate().variation().clone();
-        // The variation map must not change between programming events.
-        let mut gs2 = gs.clone();
-        gs2.program();
-        assert_eq!(v1.factors(), gs2.substrate().variation().factors());
+        // The variation map must not change between programming events:
+        // training re-programs before each of its three minibatches.
+        gs.train_epoch(&two_mode_data(12, 4), 4, &mut rng);
+        assert_eq!(v1.factors(), gs.substrate().variation().factors());
     }
 
     #[test]

@@ -55,6 +55,7 @@
 
 use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -457,7 +458,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         ),
         Err(_) | Ok(ReadOutcome::Closed) => return,
         Ok(ReadOutcome::Invalid(e)) => invalid_response(&e),
-        Ok(ReadOutcome::Request(req)) => route(shared, &req),
+        // A panicking handler fails this request, not the worker: an
+        // unwound worker would leave its connection counted in flight
+        // forever. Handlers only read-lock the service slot, and a read
+        // guard does not poison on unwind.
+        Ok(ReadOutcome::Request(req)) => {
+            panic::catch_unwind(AssertUnwindSafe(|| route(shared, &req)))
+                .unwrap_or_else(|_| error_response(500, "internal", "the request handler panicked"))
+        }
     };
     let mut stream = stream;
     let _ = response.write_to(&mut stream);
@@ -730,6 +738,11 @@ fn train(service: &SamplingService, name: &str, req: &Request) -> Response {
         Ok(data) => data,
         Err(e) => return error_response(400, "invalid_request", &e.to_string()),
     };
+    let rate = parsed.learning_rate;
+    if parsed.cd_k == Some(0) || !rate.is_none_or(|lr| lr.is_finite() && lr > 0.0) {
+        let msg = "`cd_k` must be at least 1 and `learning_rate` finite and positive";
+        return error_response(400, "invalid_request", msg);
+    }
     let mut request = TrainRequest::new(name, data);
     if let (Some(k), lr) = (parsed.cd_k, parsed.learning_rate) {
         request = request.with_trainer(ember_rbm::CdTrainer::new(k, lr.unwrap_or(0.05)));

@@ -1,9 +1,10 @@
 //! Durable-lifecycle and hardening integration tests of the HTTP edge:
 //! rollback and admin snapshots over loopback, slowloris cut-off with
-//! `408`, the request-body ceiling answered `413`, and the client's
-//! seeded retry helper against a scripted raw-TCP server.
+//! `408`, the request-body ceiling answered `413`, a panicking handler
+//! answered `500`, and the client's seeded retry helper against a
+//! scripted raw-TCP server.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -13,7 +14,7 @@ use ember_core::{GsConfig, RetryPolicy, SubstrateSpec};
 use ember_http::{Client, ClientError, SampleOptions, Server, ServerConfig};
 use ember_rbm::Rbm;
 use ember_serve::{ModelRegistry, SamplingService};
-use ember_store::{DaemonConfig, MemDir, SnapshotDaemon, SnapshotStore};
+use ember_store::{DaemonConfig, MemDir, SnapshotDaemon, SnapshotStore, Storage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -115,6 +116,61 @@ fn admin_snapshot_without_persistence_is_a_typed_503() {
         panic!("expected HTTP error");
     };
     assert_eq!(code, "no_persistence");
+}
+
+/// Storage whose every write panics: a defect in a persistence backend.
+struct PanickingStorage;
+
+impl Storage for PanickingStorage {
+    fn put(&self, _name: &str, _bytes: &[u8]) -> io::Result<()> {
+        panic!("storage backend defect");
+    }
+
+    fn get(&self, _name: &str) -> io::Result<Vec<u8>> {
+        Err(io::ErrorKind::NotFound.into())
+    }
+
+    fn list(&self) -> io::Result<Vec<String>> {
+        Ok(Vec::new())
+    }
+
+    fn delete(&self, _name: &str) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A handler that panics — here inside an attached storage backend —
+/// answers `500 internal` on its own connection. The one worker of the
+/// edge survives it: the next request is served, and shutdown drains.
+#[test]
+fn panicking_handler_is_a_500_and_a_one_worker_edge_serves_on() {
+    let registry = ModelRegistry::new();
+    let service = SamplingService::builder()
+        .shards(1)
+        .registry(registry.clone())
+        .build();
+    let store = SnapshotStore::new(PanickingStorage).unwrap();
+    let config = DaemonConfig::default().with_on_publish(false);
+    let daemon = SnapshotDaemon::start(store, registry, config);
+    let server = Server::start_with_config(
+        "127.0.0.1:0",
+        service,
+        ServerConfig::default()
+            .with_workers(1)
+            .with_persistence(Arc::new(daemon)),
+    )
+    .unwrap();
+    let client = Client::new(server.addr());
+
+    let err = client.snapshot().unwrap_err();
+    assert_eq!(err.status(), Some(500));
+    let ClientError::Http { code, .. } = err else {
+        panic!("expected HTTP error");
+    };
+    assert_eq!(code, "internal");
+    assert_eq!(client.health().unwrap().status, "ok");
+    let report = server.shutdown(Duration::from_secs(5));
+    assert!(report.connections_drained);
 }
 
 /// A slowloris peer — connected, trickling nothing — is answered `408`

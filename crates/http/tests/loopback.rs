@@ -6,8 +6,11 @@
 //! * binary wire ≥ 50× smaller than the served JSON encoding at 784
 //!   visible units;
 //! * `429` carries `Retry-After`;
-//! * shutdown drains in-flight HTTP requests.
+//! * shutdown drains in-flight HTTP requests;
+//! * a train knob the trainer would reject is a `400`, not a dead worker.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use ember_core::{GsConfig, SubstrateSpec};
@@ -415,4 +418,54 @@ fn train_over_http_publishes_a_version_sampled_by_later_requests() {
     assert!(stats.total_rows() >= 2);
 
     server.shutdown(Duration::from_secs(10));
+}
+
+/// Sends one raw JSON `POST` and returns the whole answer (status line,
+/// headers and body); empty when the server hung up without one.
+fn post_raw(addr: SocketAddr, path: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut answer = String::new();
+    let _ = stream.read_to_string(&mut answer);
+    answer
+}
+
+/// A `cd_k` of 0 or a learning rate that is not finite and positive
+/// would panic the trainer's constructor on the HTTP worker. The edge
+/// answers each with `400` before it builds a trainer, so the single
+/// worker serves the next request and shutdown drains.
+#[test]
+fn bad_train_knobs_are_400_and_a_one_worker_edge_serves_on() {
+    let server = Server::start_with_workers("127.0.0.1:0", service_at(1, 31, 4, 3), 1).unwrap();
+    let path = "/v1/models/m/train";
+    for knob in [
+        r#""cd_k": 0"#,
+        r#""learning_rate": -1"#,
+        r#""learning_rate": 0"#,
+    ] {
+        let answer = post_raw(
+            server.addr(),
+            path,
+            &format!(r#"{{"data": [[0, 1, 0, 1]], {knob}}}"#),
+        );
+        assert!(answer.starts_with("HTTP/1.1 400"), "{knob}: {answer:?}");
+        assert!(answer.contains("invalid_request"), "{knob}: {answer:?}");
+    }
+    let answer = post_raw(
+        server.addr(),
+        path,
+        r#"{"data": [[0, 1, 0, 1]], "cd_k": 1, "learning_rate": 0.1}"#,
+    );
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
+    let report = server.shutdown(Duration::from_secs(5));
+    assert!(report.connections_drained);
 }

@@ -20,7 +20,8 @@
 //! [`sample_model`]) are kept unchanged as the reference path the
 //! parallel chains are tested against.
 
-use ndarray::{Array1, Array2, Axis};
+use ndarray::{s, Array1, Array2, Axis};
+use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -113,16 +114,40 @@ pub fn sample_model<R: Rng + ?Sized>(
     out
 }
 
-/// Copies a list of equally-sized rows into a `(rows, cols)` matrix.
-///
-/// # Panics
-///
-/// Panics when a row's length differs from `cols`.
-pub(crate) fn stack_rows(rows: Vec<Array1<f64>>, cols: usize) -> Array2<f64> {
-    let mut out = Array2::zeros((rows.len(), cols));
-    for (i, row) in rows.into_iter().enumerate() {
-        assert_eq!(row.len(), cols, "row length mismatch");
-        out.row_mut(i).assign(&row);
+/// The parallel engine: splits `rows` into `chunks` contiguous chunks
+/// whose sizes differ by at most one and runs `f` on chunk `c` with its
+/// own stream `streams.rng(c)` across the rayon pool. Returns `f`'s
+/// outputs with every chunk's rows back in place. Results depend on
+/// `chunks` but never on the thread count; one chunk per row makes each
+/// row an independent chain on its own stream.
+pub(crate) fn on_chunks<const K: usize>(
+    rows: &Array2<f64>,
+    chunks: usize,
+    streams: RngStreams,
+    f: impl Fn(&Array2<f64>, &mut StdRng) -> [Array2<f64>; K] + Sync,
+) -> [Array2<f64>; K] {
+    let total = rows.nrows();
+    // No empty chunks, but at least one (empty when `rows` is), so
+    // every output gets its width from `f`.
+    let chunks = chunks.min(total).max(1);
+    let (base, extra) = (total / chunks, total % chunks);
+    let parts: Vec<(usize, [Array2<f64>; K])> = (0..chunks)
+        .into_par_iter()
+        .map(|c| {
+            let start = c * base + c.min(extra);
+            let end = start + base + usize::from(c < extra);
+            let chunk = rows.slice(s![start..end, ..]).to_owned();
+            (start, f(&chunk, &mut streams.rng(c as u64)))
+        })
+        .collect();
+    let mut out: [Array2<f64>; K] =
+        std::array::from_fn(|j| Array2::zeros((total, parts[0].1[j].ncols())));
+    for (start, part) in parts {
+        for (whole, block) in out.iter_mut().zip(part) {
+            for (i, row) in block.rows().enumerate() {
+                whole.row_mut(start + i).assign(&row);
+            }
+        }
     }
     out
 }
@@ -143,22 +168,11 @@ pub fn chain_batch_par(
 ) -> (Array2<f64>, Array2<f64>) {
     assert!(k >= 1, "chain length must be at least 1");
     assert_eq!(v0.ncols(), rbm.visible_len(), "visible width mismatch");
-    let indexed: Vec<(usize, Array1<f64>)> = v0.rows().map(|r| r.to_owned()).enumerate().collect();
-    let pairs: Vec<(Array1<f64>, Array1<f64>)> = indexed
-        .into_par_iter()
-        .map(|(i, row)| {
-            let mut rng = streams.rng(i as u64);
-            chain(rbm, &row, k, &mut rng)
-        })
-        .collect();
-    let (m, n) = (rbm.visible_len(), rbm.hidden_len());
-    let mut vs = Vec::with_capacity(pairs.len());
-    let mut hs = Vec::with_capacity(pairs.len());
-    for (v, h) in pairs {
-        vs.push(v);
-        hs.push(h);
-    }
-    (stack_rows(vs, m), stack_rows(hs, n))
+    let [v, h] = on_chunks(v0, v0.nrows(), streams, |row, rng| {
+        let (v, h) = chain_batch(rbm, row, k, rng);
+        [v, h]
+    });
+    (v, h)
 }
 
 /// Parallel model sampling: `chains` independent chains, each with its

@@ -1,23 +1,15 @@
 use ndarray::{Array1, Array2, Axis};
 use rand::{Rng, RngCore};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use ember_substrate::{HardwareCounters, Substrate};
+use ember_substrate::{Side, Substrate};
 
 use crate::gibbs;
-use crate::trainer::{chunk_ranges, EpochStats};
+use crate::trainer::{
+    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, on_replicas,
+    program, EpochStats,
+};
 use crate::{Rbm, RngStreams};
-
-/// Per-replica result of one sharded minibatch chunk:
-/// `(row offset, h⁺, v⁻, h⁻, replica counters)`.
-type ChunkResult = (
-    usize,
-    Array2<f64>,
-    Array2<f64>,
-    Array2<f64>,
-    HardwareCounters,
-);
 
 /// The contrastive-divergence trainer of Algorithm 1 (CD-k).
 ///
@@ -123,62 +115,25 @@ impl CdTrainer {
         batch_size: usize,
         rng: &mut R,
     ) -> EpochStats {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert!(batch_size >= 1, "batch size must be positive");
-        let mut velocity_w = Array2::<f64>::zeros(rbm.weights().dim());
-        let mut velocity_bv = Array1::<f64>::zeros(rbm.visible_len());
-        let mut velocity_bh = Array1::<f64>::zeros(rbm.hidden_len());
-        let mut stats = Vec::new();
-
-        let rows = data.nrows();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            let (recon, grad) = self.train_batch(
-                rbm,
-                &batch,
-                &mut velocity_w,
-                &mut velocity_bv,
-                &mut velocity_bh,
-                rng,
-            );
-            stats.push((recon, grad));
-            start = end;
-        }
-        EpochStats::accumulate(&stats)
+        let mut velocity = Velocity::zeros(rbm);
+        epoch(rbm, data, batch_size, |rbm, _, batch| {
+            let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
+            self.apply_gradients(rbm, batch, &phases, &mut velocity)
+        })
     }
 
-    /// One minibatch update (lines 8–19 of Algorithm 1). Returns
-    /// `(reconstruction error, gradient norm)`.
-    fn train_batch<R: Rng + ?Sized>(
+    /// One minibatch's chain (lines 9–15 of Algorithm 1), generic over
+    /// the half-step `half(side, clamp)` that samples `side` given the
+    /// other side clamped: `h⁺` from the clamped data, then `k` full
+    /// Gibbs steps from `h⁺`. Returns `[h⁺, v⁻, h⁻]`.
+    fn phases(
         &self,
-        rbm: &mut Rbm,
-        batch: &Array2<f64>,
-        velocity_w: &mut Array2<f64>,
-        velocity_bv: &mut Array1<f64>,
-        velocity_bh: &mut Array1<f64>,
-        rng: &mut R,
-    ) -> (f64, f64) {
-        // Positive phase.
-        let h_pos = Rbm::sample_batch(&rbm.hidden_probs_batch(batch), rng);
-        // Negative phase: k alternating Gibbs half-steps from h_pos.
-        let mut h_neg = h_pos.clone();
-        let mut v_neg = batch.clone();
-        for _ in 0..self.k {
-            v_neg = Rbm::sample_batch(&rbm.visible_probs_batch(&h_neg), rng);
-            h_neg = Rbm::sample_batch(&rbm.hidden_probs_batch(&v_neg), rng);
-        }
-        self.apply_gradients(
-            rbm,
-            batch,
-            &h_pos,
-            &v_neg,
-            &h_neg,
-            velocity_w,
-            velocity_bv,
-            velocity_bh,
-        )
+        clamped: &Array2<f64>,
+        mut half: impl FnMut(Side, &Array2<f64>) -> Array2<f64>,
+    ) -> [Array2<f64>; 3] {
+        let h_pos = half(Side::Hidden, clamped);
+        let [v_neg, h_neg] = gibbs_steps(self.k, &h_pos, half);
+        [h_pos, v_neg, h_neg]
     }
 
     /// One epoch of CD-k with the conditional sampling offloaded to an
@@ -211,63 +166,17 @@ impl CdTrainer {
         S: Substrate + ?Sized,
         R: Rng + ?Sized,
     {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert_eq!(
-            substrate.visible_len(),
-            rbm.visible_len(),
-            "substrate visible size mismatch"
-        );
-        assert_eq!(
-            substrate.hidden_len(),
-            rbm.hidden_len(),
-            "substrate hidden size mismatch"
-        );
-        assert!(batch_size >= 1, "batch size must be positive");
+        check_substrate(substrate, rbm);
         let mut rng = rng;
         let rng: &mut dyn RngCore = &mut rng;
-        let (m, n) = rbm.weights().dim();
-        let mut velocity_w = Array2::<f64>::zeros((m, n));
-        let mut velocity_bv = Array1::<f64>::zeros(m);
-        let mut velocity_bh = Array1::<f64>::zeros(n);
-        let mut stats = Vec::new();
-
-        let rows = data.nrows();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            substrate.program(
-                &rbm.weights().view(),
-                &rbm.visible_bias().view(),
-                &rbm.hidden_bias().view(),
-            );
-            let clamped = substrate.quantize_batch(&batch);
-            let h_pos = substrate.sample_hidden_batch(&clamped, rng);
-            let mut h_neg = h_pos.clone();
-            let mut v_neg = batch.clone();
-            for _ in 0..self.k {
-                v_neg = substrate.sample_visible_batch(&h_neg, rng);
-                h_neg = substrate.sample_hidden_batch(&v_neg, rng);
-            }
-            let bs = batch.nrows() as u64;
-            let counters = substrate.counters_mut();
-            counters.positive_samples += bs;
-            counters.negative_samples += bs;
-            counters.host_mac_ops += bs * 2 * (m * n) as u64 + (m * n + m + n) as u64;
-
-            stats.push(self.apply_gradients(
-                rbm,
-                &batch,
-                &h_pos,
-                &v_neg,
-                &h_neg,
-                &mut velocity_w,
-                &mut velocity_bv,
-                &mut velocity_bh,
-            ));
-            start = end;
-        }
-        EpochStats::accumulate(&stats)
+        let mut velocity = Velocity::zeros(rbm);
+        epoch(rbm, data, batch_size, |rbm, _, batch| {
+            program(substrate, rbm);
+            let clamped = substrate.quantize_batch(batch);
+            let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
+            count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
+            self.apply_gradients(rbm, batch, &phases, &mut velocity)
+        })
     }
 
     /// Convenience: `epochs` substrate-offloaded epochs
@@ -287,15 +196,9 @@ impl CdTrainer {
         S: Substrate + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut last = EpochStats {
-            batches: 0,
-            reconstruction_error: 0.0,
-            gradient_norm: 0.0,
-        };
-        for _ in 0..epochs {
-            last = self.train_epoch_with(rbm, data, batch_size, substrate, rng);
-        }
-        last
+        last_epoch(epochs, |_| {
+            self.train_epoch_with(rbm, data, batch_size, substrate, rng)
+        })
     }
 
     /// Parallel substrate epoch: each minibatch's rows are sharded into
@@ -323,112 +226,39 @@ impl CdTrainer {
     where
         S: Substrate + Clone + Send + Sync,
     {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert_eq!(
-            substrate.visible_len(),
-            rbm.visible_len(),
-            "substrate visible size mismatch"
-        );
-        assert_eq!(
-            substrate.hidden_len(),
-            rbm.hidden_len(),
-            "substrate hidden size mismatch"
-        );
-        assert!(batch_size >= 1, "batch size must be positive");
-        assert!(replicas >= 1, "need at least one substrate replica");
-        let (m, n) = rbm.weights().dim();
-        let mut velocity_w = Array2::<f64>::zeros((m, n));
-        let mut velocity_bv = Array1::<f64>::zeros(m);
-        let mut velocity_bh = Array1::<f64>::zeros(n);
-        let mut stats = Vec::new();
-
-        let rows = data.nrows();
-        let (mut start, mut batch_index) = (0, 0u64);
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            substrate.program(
-                &rbm.weights().view(),
-                &rbm.visible_bias().view(),
-                &rbm.hidden_bias().view(),
+        check_substrate(substrate, rbm);
+        let mut velocity = Velocity::zeros(rbm);
+        epoch(rbm, data, batch_size, |rbm, b, batch| {
+            program(substrate, rbm);
+            let clamped = substrate.quantize_batch(batch);
+            let phases = on_replicas(
+                substrate,
+                &clamped,
+                replicas,
+                streams.subfamily(b),
+                |replica, chunk, rng| {
+                    self.phases(chunk, |side, x| replica.sample_batch(side, x, rng))
+                },
             );
-            let clamped = substrate.quantize_batch(&batch);
-            let batch_streams = streams.subfamily(batch_index);
-            let k = self.k;
-            let sub = &*substrate;
-
-            let work: Vec<(usize, usize, usize)> = chunk_ranges(batch.nrows(), replicas)
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, (s, e))| e > s)
-                .map(|(c, (s, e))| (c, s, e))
-                .collect();
-            let chunks: Vec<ChunkResult> = work
-                .into_par_iter()
-                .map(|(c, s, e)| {
-                    let mut replica = sub.clone();
-                    *replica.counters_mut() = HardwareCounters::new();
-                    let mut rng = batch_streams.rng(c as u64);
-                    let rng: &mut dyn RngCore = &mut rng;
-                    let chunk_clamped = clamped.slice(ndarray::s![s..e, ..]).to_owned();
-                    let h_pos = replica.sample_hidden_batch(&chunk_clamped, rng);
-                    let mut h_neg = h_pos.clone();
-                    let mut v_neg = batch.slice(ndarray::s![s..e, ..]).to_owned();
-                    for _ in 0..k {
-                        v_neg = replica.sample_visible_batch(&h_neg, rng);
-                        h_neg = replica.sample_hidden_batch(&v_neg, rng);
-                    }
-                    (s, h_pos, v_neg, h_neg, *replica.counters())
-                })
-                .collect();
-
-            let mut h_pos = Array2::zeros((batch.nrows(), n));
-            let mut v_neg = Array2::zeros((batch.nrows(), m));
-            let mut h_neg = Array2::zeros((batch.nrows(), n));
-            for (s, hp, vn, hn, counters) in chunks {
-                for i in 0..hp.nrows() {
-                    h_pos.row_mut(s + i).assign(&hp.row(i));
-                    v_neg.row_mut(s + i).assign(&vn.row(i));
-                    h_neg.row_mut(s + i).assign(&hn.row(i));
-                }
-                substrate.counters_mut().merge(&counters);
-            }
-            let bs = batch.nrows() as u64;
-            let counters = substrate.counters_mut();
-            counters.positive_samples += bs;
-            counters.negative_samples += bs;
-            counters.host_mac_ops += bs * 2 * (m * n) as u64 + (m * n + m + n) as u64;
-
-            stats.push(self.apply_gradients(
-                rbm,
-                &batch,
-                &h_pos,
-                &v_neg,
-                &h_neg,
-                &mut velocity_w,
-                &mut velocity_bv,
-                &mut velocity_bh,
-            ));
-            start = end;
-            batch_index += 1;
-        }
-        EpochStats::accumulate(&stats)
+            count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
+            self.apply_gradients(rbm, batch, &phases, &mut velocity)
+        })
     }
 
     /// Shared host-side gradient step (lines 17–19 of Algorithm 1 with
     /// momentum and weight decay): the common tail of every CD variant.
-    #[allow(clippy::too_many_arguments)]
     fn apply_gradients(
         &self,
         rbm: &mut Rbm,
         batch: &Array2<f64>,
-        h_pos: &Array2<f64>,
-        v_neg: &Array2<f64>,
-        h_neg: &Array2<f64>,
-        velocity_w: &mut Array2<f64>,
-        velocity_bv: &mut Array1<f64>,
-        velocity_bh: &mut Array1<f64>,
+        [h_pos, v_neg, h_neg]: &[Array2<f64>; 3],
+        velocity: &mut Velocity,
     ) -> (f64, f64) {
+        let Velocity {
+            w: velocity_w,
+            bv: velocity_bv,
+            bh: velocity_bh,
+        } = velocity;
         let bs = batch.nrows() as f64;
         let grad_w = (batch.t().dot(h_pos) - v_neg.t().dot(h_neg)) / bs;
         let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
@@ -479,70 +309,16 @@ impl CdTrainer {
         batch_size: usize,
         streams: RngStreams,
     ) -> EpochStats {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert!(batch_size >= 1, "batch size must be positive");
-        let mut velocity_w = Array2::<f64>::zeros(rbm.weights().dim());
-        let mut velocity_bv = Array1::<f64>::zeros(rbm.visible_len());
-        let mut velocity_bh = Array1::<f64>::zeros(rbm.hidden_len());
-        let mut stats = Vec::new();
-
-        let rows = data.nrows();
-        let (mut start, mut batch_index) = (0, 0u64);
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            let batch_streams = streams.subfamily(batch_index);
-
-            // Fan the rows out: each is an independent chain on its own
-            // stream.
-            let chains: Vec<(Array1<f64>, Array1<f64>, Array1<f64>)> = batch
-                .rows()
-                .map(|r| r.to_owned())
-                .enumerate()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(i, v_pos)| {
-                    let mut rng = batch_streams.rng(i as u64);
-                    let h_pos = rbm.sample_hidden(&v_pos.view(), &mut rng);
-                    let mut h_neg = h_pos.clone();
-                    let mut v_neg = v_pos;
-                    for _ in 0..self.k {
-                        v_neg = rbm.sample_visible(&h_neg.view(), &mut rng);
-                        h_neg = rbm.sample_hidden(&v_neg.view(), &mut rng);
-                    }
-                    (h_pos, v_neg, h_neg)
-                })
-                .collect();
-
-            let n = rbm.hidden_len();
-            let m = rbm.visible_len();
-            let mut h_pos_rows = Vec::with_capacity(chains.len());
-            let mut v_neg_rows = Vec::with_capacity(chains.len());
-            let mut h_neg_rows = Vec::with_capacity(chains.len());
-            for (h_pos, v_neg, h_neg) in chains {
-                h_pos_rows.push(h_pos);
-                v_neg_rows.push(v_neg);
-                h_neg_rows.push(h_neg);
-            }
-            let h_pos = gibbs::stack_rows(h_pos_rows, n);
-            let v_neg = gibbs::stack_rows(v_neg_rows, m);
-            let h_neg = gibbs::stack_rows(h_neg_rows, n);
-
-            // Same batched GEMM gradient as the serial path.
-            stats.push(self.apply_gradients(
-                rbm,
-                &batch,
-                &h_pos,
-                &v_neg,
-                &h_neg,
-                &mut velocity_w,
-                &mut velocity_bv,
-                &mut velocity_bh,
-            ));
-            start = end;
-            batch_index += 1;
-        }
-        EpochStats::accumulate(&stats)
+        let mut velocity = Velocity::zeros(rbm);
+        epoch(rbm, data, batch_size, |rbm, b, batch| {
+            // One chunk per row: each row is an independent chain on its
+            // own stream.
+            let phases =
+                gibbs::on_chunks(batch, batch.nrows(), streams.subfamily(b), |row, rng| {
+                    self.phases(row, |side, x| exact_half(rbm, side, x, rng))
+                });
+            self.apply_gradients(rbm, batch, &phases, &mut velocity)
+        })
     }
 
     /// Parallel full training run: `epochs` epochs of
@@ -557,15 +333,9 @@ impl CdTrainer {
         epochs: usize,
         streams: RngStreams,
     ) -> EpochStats {
-        let mut last = EpochStats {
-            batches: 0,
-            reconstruction_error: 0.0,
-            gradient_norm: 0.0,
-        };
-        for epoch in 0..epochs {
-            last = self.train_epoch_par(rbm, data, batch_size, streams.subfamily(epoch as u64));
-        }
-        last
+        last_epoch(epochs, |e| {
+            self.train_epoch_par(rbm, data, batch_size, streams.subfamily(e))
+        })
     }
 
     /// Convenience: full training run of `epochs` epochs; returns the final
@@ -578,26 +348,25 @@ impl CdTrainer {
         epochs: usize,
         rng: &mut R,
     ) -> EpochStats {
-        let mut last = EpochStats {
-            batches: 0,
-            reconstruction_error: 0.0,
-            gradient_norm: 0.0,
-        };
-        for _ in 0..epochs {
-            last = self.train_epoch(rbm, data, batch_size, rng);
-        }
-        last
+        last_epoch(epochs, |_| self.train_epoch(rbm, data, batch_size, rng))
     }
+}
 
-    /// Draws the negative-phase sample for external use (the piece the GS
-    /// architecture offloads to the substrate).
-    pub fn negative_phase<R: Rng + ?Sized>(
-        &self,
-        rbm: &Rbm,
-        v0: &Array1<f64>,
-        rng: &mut R,
-    ) -> (Array1<f64>, Array1<f64>) {
-        gibbs::chain(rbm, v0, self.k, rng)
+/// Momentum state carried across one epoch's minibatches: the previous
+/// update of `W`, `b_v` and `b_h`.
+struct Velocity {
+    w: Array2<f64>,
+    bv: Array1<f64>,
+    bh: Array1<f64>,
+}
+
+impl Velocity {
+    fn zeros(rbm: &Rbm) -> Self {
+        Velocity {
+            w: Array2::zeros(rbm.weights().dim()),
+            bv: Array1::zeros(rbm.visible_len()),
+            bh: Array1::zeros(rbm.hidden_len()),
+        }
     }
 }
 

@@ -6,6 +6,22 @@
 //! `train_epoch_par_with`): the learning loop stays on the host, the
 //! conditional sampling is offloaded — the paper's §3.2 division of
 //! labor, with the substrate freely swappable.
+//!
+//! Every CD and PCD epoch is the same minibatch loop (`epoch`): slice the
+//! next batch, draw the phases, update the weights on the host, and
+//! average the per-batch statistics. The entry points differ only in who
+//! draws the phases:
+//!
+//! * the host's exact conditionals on one RNG (`train_epoch`);
+//! * a substrate, re-programmed before every batch and clamped with the
+//!   quantized data, on one RNG (`train_epoch_with`);
+//! * clones of that substrate, each on a contiguous chunk of the rows and
+//!   its own stream (`train_epoch_par_with`);
+//! * the host, one row per stream across the rayon pool
+//!   (`train_epoch_par`).
+//!
+//! Each trainer writes its chain once (`phases`), generic over the
+//! half-step that draws one side given the other.
 
 mod cd;
 mod ml;
@@ -15,7 +31,15 @@ pub use cd::CdTrainer;
 pub use ml::MlTrainer;
 pub use pcd::PcdTrainer;
 
+use std::sync::Mutex;
+
+use ndarray::{s, Array2};
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
+
+use ember_substrate::{HardwareCounters, Side, Substrate};
+
+use crate::{gibbs, Rbm, RngStreams};
 
 /// Summary statistics of one training epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -29,29 +53,10 @@ pub struct EpochStats {
     pub gradient_norm: f64,
 }
 
-/// Splits `rows` into `chunks` contiguous ranges whose sizes differ by at
-/// most one (empty ranges when `chunks > rows`). The substrate-parallel
-/// trainers shard minibatch rows across substrate replicas with this, so
-/// results depend on the replica count but never on the thread count.
-pub(crate) fn chunk_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
-    assert!(chunks >= 1, "need at least one chunk");
-    let base = rows / chunks;
-    let extra = rows % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
 impl EpochStats {
     /// Aggregates per-batch `(reconstruction error, gradient norm)` pairs
-    /// into epoch statistics. Exposed for external trainers (the hardware
-    /// models in `ember-core`) that produce the same per-batch pairs.
-    pub fn accumulate(stats: &[(f64, f64)]) -> EpochStats {
+    /// into epoch statistics.
+    pub(crate) fn accumulate(stats: &[(f64, f64)]) -> EpochStats {
         let batches = stats.len();
         if batches == 0 {
             return EpochStats {
@@ -68,4 +73,154 @@ impl EpochStats {
             gradient_norm: grad,
         }
     }
+}
+
+/// One epoch: hands `step` each minibatch of `data` in order, with its
+/// index `b` (a trailing partial batch is used as-is), and averages the
+/// `(reconstruction error, gradient norm)` pairs it returns.
+///
+/// # Panics
+///
+/// Panics if `data` width differs from the RBM's visible count or
+/// `batch_size == 0`.
+pub(crate) fn epoch(
+    rbm: &mut Rbm,
+    data: &Array2<f64>,
+    batch_size: usize,
+    mut step: impl FnMut(&mut Rbm, u64, &Array2<f64>) -> (f64, f64),
+) -> EpochStats {
+    assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
+    assert!(batch_size >= 1, "batch size must be positive");
+    let rows = data.nrows();
+    let mut stats = Vec::new();
+    for (b, start) in (0..rows).step_by(batch_size).enumerate() {
+        let end = (start + batch_size).min(rows);
+        let batch = data.slice(s![start..end, ..]).to_owned();
+        stats.push(step(rbm, b as u64, &batch));
+    }
+    EpochStats::accumulate(&stats)
+}
+
+/// Runs `f` for epochs `0..epochs` and returns the final epoch's
+/// statistics (all zero when `epochs == 0`).
+pub(crate) fn last_epoch(epochs: usize, mut f: impl FnMut(u64) -> EpochStats) -> EpochStats {
+    // A loop, not `(0..epochs).map(f).last()`: clippy rewrites that to
+    // `.next_back()`, which would train only the final epoch.
+    let mut last = EpochStats::accumulate(&[]);
+    for e in 0..epochs as u64 {
+        last = f(e);
+    }
+    last
+}
+
+/// Asserts that `substrate` was fabricated at the RBM's size.
+pub(crate) fn check_substrate<S: Substrate + ?Sized>(substrate: &S, rbm: &Rbm) {
+    assert_eq!(
+        substrate.visible_len(),
+        rbm.visible_len(),
+        "substrate visible size mismatch"
+    );
+    assert_eq!(
+        substrate.hidden_len(),
+        rbm.hidden_len(),
+        "substrate hidden size mismatch"
+    );
+}
+
+/// §3.2 step 2: programs the host's current weights and biases.
+pub(crate) fn program<S: Substrate + ?Sized>(substrate: &mut S, rbm: &Rbm) {
+    substrate.program(
+        &rbm.weights().view(),
+        &rbm.visible_bias().view(),
+        &rbm.hidden_bias().view(),
+    );
+}
+
+/// The host's share of one offloaded minibatch: `positives` data rows
+/// and `negatives` chains sampled, and the gradient accumulation
+/// (`(positives + negatives)·m·n` MACs) plus the update (`m·n + m + n`).
+pub(crate) fn count_minibatch(
+    counters: &mut HardwareCounters,
+    rbm: &Rbm,
+    positives: usize,
+    negatives: usize,
+) {
+    let (m, n) = rbm.weights().dim();
+    counters.positive_samples += positives as u64;
+    counters.negative_samples += negatives as u64;
+    counters.host_mac_ops +=
+        (positives + negatives) as u64 * (m * n) as u64 + (m * n + m + n) as u64;
+}
+
+/// The host's exact half-step: samples `side` of every row given the
+/// other side clamped to `x`, from the RBM's conditionals.
+pub(crate) fn exact_half<R: Rng + ?Sized>(
+    rbm: &Rbm,
+    side: Side,
+    x: &Array2<f64>,
+    rng: &mut R,
+) -> Array2<f64> {
+    let probs = match side {
+        Side::Hidden => rbm.hidden_probs_batch(x),
+        Side::Visible => rbm.visible_probs_batch(x),
+    };
+    Rbm::sample_batch(&probs, rng)
+}
+
+/// `k ≥ 1` full Gibbs steps from the hidden state `h`: `k` rounds of a
+/// visible then a hidden half-step `half(side, clamp)`. Returns the
+/// final `[v, h]`.
+pub(crate) fn gibbs_steps(
+    k: usize,
+    h: &Array2<f64>,
+    mut half: impl FnMut(Side, &Array2<f64>) -> Array2<f64>,
+) -> [Array2<f64>; 2] {
+    let mut v = half(Side::Visible, h);
+    let mut h = half(Side::Hidden, &v);
+    for _ in 1..k {
+        v = half(Side::Visible, &h);
+        h = half(Side::Hidden, &v);
+    }
+    [v, h]
+}
+
+/// Shards `rows` into `replicas` contiguous chunks whose sizes differ by
+/// at most one ([`gibbs::on_chunks`]), and runs `f` on chunk `c` through
+/// its own clone of `substrate` (an ensemble of identically-programmed
+/// machines) on stream `streams.rng(c)`. Returns `f`'s outputs with the
+/// chunks' rows back in place, and adds every replica's counters to
+/// `substrate`'s. Results depend on `replicas` but never on the thread
+/// count.
+///
+/// # Panics
+///
+/// Panics if `replicas == 0`.
+pub(crate) fn on_replicas<S, const K: usize>(
+    substrate: &mut S,
+    rows: &Array2<f64>,
+    replicas: usize,
+    streams: RngStreams,
+    f: impl Fn(&mut S, &Array2<f64>, &mut dyn RngCore) -> [Array2<f64>; K] + Sync,
+) -> [Array2<f64>; K]
+where
+    S: Substrate + Clone + Send + Sync,
+{
+    assert!(replicas >= 1, "need at least one substrate replica");
+    let sub = &*substrate;
+    let merged = Mutex::new(HardwareCounters::new());
+    let out = gibbs::on_chunks(rows, replicas, streams, |chunk, rng| {
+        let mut replica = sub.clone();
+        *replica.counters_mut() = HardwareCounters::new();
+        let out = f(&mut replica, chunk, rng);
+        // Counters only add up, so the merge order does not matter.
+        merged
+            .lock()
+            .expect("counters lock")
+            .merge(replica.counters());
+        out
+    });
+    substrate
+        .counters_mut()
+        .merge(&merged.into_inner().expect("counters lock"));
+    out
 }

@@ -1,12 +1,14 @@
-use ndarray::{Array1, Array2, Axis};
+use ndarray::{Array2, Axis};
 use rand::{Rng, RngCore};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use ember_substrate::{HardwareCounters, Substrate};
+use ember_substrate::{Side, Substrate};
 
 use crate::gibbs;
-use crate::trainer::{chunk_ranges, EpochStats};
+use crate::trainer::{
+    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, on_replicas,
+    program, EpochStats,
+};
 use crate::{Rbm, RngStreams};
 
 /// Persistent contrastive divergence (Tieleman 2008, cited as \[63\] for the
@@ -93,55 +95,48 @@ impl PcdTrainer {
         batch_size: usize,
         rng: &mut R,
     ) -> EpochStats {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert!(batch_size >= 1, "batch size must be positive");
-        let mut stats = Vec::new();
-        let rows = data.nrows();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            stats.push(self.train_batch(rbm, &batch, rng));
-            start = end;
-        }
-        EpochStats::accumulate(&stats)
+        epoch(rbm, data, batch_size, |rbm, _, batch| {
+            let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
+            self.apply_gradients(rbm, batch, phases)
+        })
     }
 
-    fn train_batch<R: Rng + ?Sized>(
-        &mut self,
-        rbm: &mut Rbm,
-        batch: &Array2<f64>,
-        rng: &mut R,
-    ) -> (f64, f64) {
-        // Positive phase from the data.
-        let h_pos = Rbm::sample_batch(&rbm.hidden_probs_batch(batch), rng);
+    /// One minibatch's chains, generic over the half-step
+    /// `half(side, clamp)`: `h⁺` from the clamped data, then the
+    /// persistent particles advance. Returns `[h⁺, v⁻, h⁻]`.
+    fn phases(
+        &self,
+        clamped: &Array2<f64>,
+        mut half: impl FnMut(Side, &Array2<f64>) -> Array2<f64>,
+    ) -> [Array2<f64>; 3] {
+        let h_pos = half(Side::Hidden, clamped);
+        let [v_neg, h_neg] = self.advance(&self.particles_v, half);
+        [h_pos, v_neg, h_neg]
+    }
 
-        // Negative phase from the persistent particles: advance k steps.
-        let mut v_neg = self.particles_v.clone();
-        let mut h_neg = Rbm::sample_batch(&rbm.hidden_probs_batch(&v_neg), rng);
-        for _ in 0..self.k {
-            v_neg = Rbm::sample_batch(&rbm.visible_probs_batch(&h_neg), rng);
-            h_neg = Rbm::sample_batch(&rbm.hidden_probs_batch(&v_neg), rng);
-        }
-        self.particles_v = v_neg.clone();
-
-        self.apply_gradients(rbm, batch, &h_pos, &v_neg, &h_neg)
+    /// The negative phase: `h` from the persistent particles, then `k`
+    /// full Gibbs steps. Returns `[v⁻, h⁻]`.
+    fn advance(
+        &self,
+        particles: &Array2<f64>,
+        mut half: impl FnMut(Side, &Array2<f64>) -> Array2<f64>,
+    ) -> [Array2<f64>; 2] {
+        let h = half(Side::Hidden, particles);
+        gibbs_steps(self.k, &h, half)
     }
 
     /// Shared host-side gradient step: data statistics normalized by the
     /// batch size, particle statistics by the particle count. The common
-    /// tail of every PCD variant.
+    /// tail of every PCD variant; `v⁻` becomes the new particle set.
     fn apply_gradients(
-        &self,
+        &mut self,
         rbm: &mut Rbm,
         batch: &Array2<f64>,
-        h_pos: &Array2<f64>,
-        v_neg: &Array2<f64>,
-        h_neg: &Array2<f64>,
+        [h_pos, v_neg, h_neg]: [Array2<f64>; 3],
     ) -> (f64, f64) {
         let bs = batch.nrows() as f64;
         let p = v_neg.nrows() as f64;
-        let grad_w = batch.t().dot(h_pos) / bs - v_neg.t().dot(h_neg) / p;
+        let grad_w = batch.t().dot(&h_pos) / bs - v_neg.t().dot(&h_neg) / p;
         let grad_bv = batch.sum_axis(Axis(0)) / bs - v_neg.sum_axis(Axis(0)) / p;
         let grad_bh = h_pos.sum_axis(Axis(0)) / bs - h_neg.sum_axis(Axis(0)) / p;
         let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
@@ -156,6 +151,7 @@ impl PcdTrainer {
             let m = v_neg.mean_axis(Axis(0)).expect("non-empty particles");
             (&d - &m).mapv(f64::abs).mean().unwrap_or(0.0)
         };
+        self.particles_v = v_neg;
         (recon, grad_norm)
     }
 
@@ -185,54 +181,21 @@ impl PcdTrainer {
         S: Substrate + ?Sized,
         R: Rng + ?Sized,
     {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert_eq!(
-            substrate.visible_len(),
-            rbm.visible_len(),
-            "substrate visible size mismatch"
-        );
-        assert_eq!(
-            substrate.hidden_len(),
-            rbm.hidden_len(),
-            "substrate hidden size mismatch"
-        );
-        assert!(batch_size >= 1, "batch size must be positive");
+        check_substrate(substrate, rbm);
         let mut rng = rng;
         let rng: &mut dyn RngCore = &mut rng;
-        let (m, n) = rbm.weights().dim();
-        let mut stats = Vec::new();
-        let rows = data.nrows();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            substrate.program(
-                &rbm.weights().view(),
-                &rbm.visible_bias().view(),
-                &rbm.hidden_bias().view(),
+        epoch(rbm, data, batch_size, |rbm, _, batch| {
+            program(substrate, rbm);
+            let clamped = substrate.quantize_batch(batch);
+            let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
+            count_minibatch(
+                substrate.counters_mut(),
+                rbm,
+                batch.nrows(),
+                self.particle_count(),
             );
-            // Positive phase from the data.
-            let clamped = substrate.quantize_batch(&batch);
-            let h_pos = substrate.sample_hidden_batch(&clamped, rng);
-            // Negative phase from the persistent particles: k full steps.
-            let mut v_neg = self.particles_v.clone();
-            let mut h_neg = substrate.sample_hidden_batch(&v_neg, rng);
-            for _ in 0..self.k {
-                v_neg = substrate.sample_visible_batch(&h_neg, rng);
-                h_neg = substrate.sample_hidden_batch(&v_neg, rng);
-            }
-            self.particles_v = v_neg.clone();
-
-            let counters = substrate.counters_mut();
-            counters.positive_samples += batch.nrows() as u64;
-            counters.negative_samples += v_neg.nrows() as u64;
-            counters.host_mac_ops +=
-                (batch.nrows() + v_neg.nrows()) as u64 * (m * n) as u64 + (m * n + m + n) as u64;
-
-            stats.push(self.apply_gradients(rbm, &batch, &h_pos, &v_neg, &h_neg));
-            start = end;
-        }
-        EpochStats::accumulate(&stats)
+            self.apply_gradients(rbm, batch, phases)
+        })
     }
 
     /// Parallel substrate epoch: positive-phase rows and persistent
@@ -259,111 +222,36 @@ impl PcdTrainer {
     where
         S: Substrate + Clone + Send + Sync,
     {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert_eq!(
-            substrate.visible_len(),
-            rbm.visible_len(),
-            "substrate visible size mismatch"
-        );
-        assert_eq!(
-            substrate.hidden_len(),
-            rbm.hidden_len(),
-            "substrate hidden size mismatch"
-        );
-        assert!(batch_size >= 1, "batch size must be positive");
-        assert!(replicas >= 1, "need at least one substrate replica");
-        let (m, n) = rbm.weights().dim();
-        let mut stats = Vec::new();
-        let rows = data.nrows();
-        let (mut start, mut batch_index) = (0, 0u64);
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            substrate.program(
-                &rbm.weights().view(),
-                &rbm.visible_bias().view(),
-                &rbm.hidden_bias().view(),
-            );
-            let clamped = substrate.quantize_batch(&batch);
-            let pos_streams = streams.subfamily(2 * batch_index);
-            let neg_streams = streams.subfamily(2 * batch_index + 1);
-            let k = self.k;
-            let sub = &*substrate;
-
+        check_substrate(substrate, rbm);
+        epoch(rbm, data, batch_size, |rbm, b, batch| {
+            program(substrate, rbm);
+            let clamped = substrate.quantize_batch(batch);
             // Positive phase: replica c samples its row chunk.
-            let pos_work: Vec<(usize, usize, usize)> = chunk_ranges(batch.nrows(), replicas)
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, (s, e))| e > s)
-                .map(|(c, (s, e))| (c, s, e))
-                .collect();
-            let pos_chunks: Vec<(usize, Array2<f64>, HardwareCounters)> = pos_work
-                .into_par_iter()
-                .map(|(c, s, e)| {
-                    let mut replica = sub.clone();
-                    *replica.counters_mut() = HardwareCounters::new();
-                    let mut rng = pos_streams.rng(c as u64);
-                    let rng: &mut dyn RngCore = &mut rng;
-                    let chunk = clamped.slice(ndarray::s![s..e, ..]).to_owned();
-                    let h = replica.sample_hidden_batch(&chunk, rng);
-                    (s, h, *replica.counters())
-                })
-                .collect();
+            let [h_pos] = on_replicas(
+                substrate,
+                &clamped,
+                replicas,
+                streams.subfamily(2 * b),
+                |replica, chunk, rng| [replica.sample_batch(Side::Hidden, chunk, rng)],
+            );
             // Negative phase: replica c advances its particle chunk.
-            let neg_work: Vec<(usize, usize, usize)> =
-                chunk_ranges(self.particles_v.nrows(), replicas)
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(_, (s, e))| e > s)
-                    .map(|(c, (s, e))| (c, s, e))
-                    .collect();
-            let particles = &self.particles_v;
-            let neg_chunks: Vec<(usize, Array2<f64>, Array2<f64>, HardwareCounters)> = neg_work
-                .into_par_iter()
-                .map(|(c, s, e)| {
-                    let mut replica = sub.clone();
-                    *replica.counters_mut() = HardwareCounters::new();
-                    let mut rng = neg_streams.rng(c as u64);
-                    let rng: &mut dyn RngCore = &mut rng;
-                    let mut v = particles.slice(ndarray::s![s..e, ..]).to_owned();
-                    let mut h = replica.sample_hidden_batch(&v, rng);
-                    for _ in 0..k {
-                        v = replica.sample_visible_batch(&h, rng);
-                        h = replica.sample_hidden_batch(&v, rng);
-                    }
-                    (s, v, h, *replica.counters())
-                })
-                .collect();
-
-            let mut h_pos = Array2::zeros((batch.nrows(), n));
-            for (s, h, counters) in pos_chunks {
-                for i in 0..h.nrows() {
-                    h_pos.row_mut(s + i).assign(&h.row(i));
-                }
-                substrate.counters_mut().merge(&counters);
-            }
-            let mut v_neg = Array2::zeros((self.particles_v.nrows(), m));
-            let mut h_neg = Array2::zeros((self.particles_v.nrows(), n));
-            for (s, v, h, counters) in neg_chunks {
-                for i in 0..v.nrows() {
-                    v_neg.row_mut(s + i).assign(&v.row(i));
-                    h_neg.row_mut(s + i).assign(&h.row(i));
-                }
-                substrate.counters_mut().merge(&counters);
-            }
-            self.particles_v = v_neg.clone();
-
-            let counters = substrate.counters_mut();
-            counters.positive_samples += batch.nrows() as u64;
-            counters.negative_samples += v_neg.nrows() as u64;
-            counters.host_mac_ops +=
-                (batch.nrows() + v_neg.nrows()) as u64 * (m * n) as u64 + (m * n + m + n) as u64;
-
-            stats.push(self.apply_gradients(rbm, &batch, &h_pos, &v_neg, &h_neg));
-            start = end;
-            batch_index += 1;
-        }
-        EpochStats::accumulate(&stats)
+            let [v_neg, h_neg] = on_replicas(
+                substrate,
+                &self.particles_v,
+                replicas,
+                streams.subfamily(2 * b + 1),
+                |replica, chunk, rng| {
+                    self.advance(chunk, |side, x| replica.sample_batch(side, x, rng))
+                },
+            );
+            count_minibatch(
+                substrate.counters_mut(),
+                rbm,
+                batch.nrows(),
+                self.particle_count(),
+            );
+            self.apply_gradients(rbm, batch, [h_pos, v_neg, h_neg])
+        })
     }
 
     /// Parallel epoch: positive-phase rows and persistent-particle chains
@@ -391,68 +279,24 @@ impl PcdTrainer {
         batch_size: usize,
         streams: RngStreams,
     ) -> EpochStats {
-        assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
-        assert!(batch_size >= 1, "batch size must be positive");
-        let mut stats = Vec::new();
-        let rows = data.nrows();
-        let (mut start, mut batch_index) = (0, 0u64);
-        while start < rows {
-            let end = (start + batch_size).min(rows);
-            let batch = data.slice(ndarray::s![start..end, ..]).to_owned();
-            let pos_streams = streams.subfamily(2 * batch_index);
-            let neg_streams = streams.subfamily(2 * batch_index + 1);
-            let (m, n) = (rbm.visible_len(), rbm.hidden_len());
-
+        epoch(rbm, data, batch_size, |rbm, b, batch| {
             // Positive phase: one stream per data row.
-            let h_pos_rows: Vec<Array1<f64>> = batch
-                .rows()
-                .map(|r| r.to_owned())
-                .enumerate()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(i, v)| {
-                    let mut rng = pos_streams.rng(i as u64);
-                    rbm.sample_hidden(&v.view(), &mut rng)
-                })
-                .collect();
-            let h_pos = gibbs::stack_rows(h_pos_rows, n);
-
+            let [h_pos] = gibbs::on_chunks(
+                batch,
+                batch.nrows(),
+                streams.subfamily(2 * b),
+                |row, rng| [exact_half(rbm, Side::Hidden, row, rng)],
+            );
             // Negative phase: each persistent particle advances k steps on
             // its own stream.
-            let k = self.k;
-            let particle_chains: Vec<(Array1<f64>, Array1<f64>)> = self
-                .particles_v
-                .rows()
-                .map(|r| r.to_owned())
-                .enumerate()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(i, v0)| {
-                    let mut rng = neg_streams.rng(i as u64);
-                    let mut h = rbm.sample_hidden(&v0.view(), &mut rng);
-                    let mut v = v0;
-                    for _ in 0..k {
-                        v = rbm.sample_visible(&h.view(), &mut rng);
-                        h = rbm.sample_hidden(&v.view(), &mut rng);
-                    }
-                    (v, h)
-                })
-                .collect();
-            let mut v_neg_rows = Vec::with_capacity(particle_chains.len());
-            let mut h_neg_rows = Vec::with_capacity(particle_chains.len());
-            for (v, h) in particle_chains {
-                v_neg_rows.push(v);
-                h_neg_rows.push(h);
-            }
-            let v_neg = gibbs::stack_rows(v_neg_rows, m);
-            let h_neg = gibbs::stack_rows(h_neg_rows, n);
-            self.particles_v = v_neg.clone();
-
-            stats.push(self.apply_gradients(rbm, &batch, &h_pos, &v_neg, &h_neg));
-            start = end;
-            batch_index += 1;
-        }
-        EpochStats::accumulate(&stats)
+            let [v_neg, h_neg] = gibbs::on_chunks(
+                &self.particles_v,
+                self.particle_count(),
+                streams.subfamily(2 * b + 1),
+                |row, rng| self.advance(row, |side, x| exact_half(rbm, side, x, rng)),
+            );
+            self.apply_gradients(rbm, batch, [h_pos, v_neg, h_neg])
+        })
     }
 
     /// Parallel full training run: `epochs` epochs of
@@ -467,15 +311,9 @@ impl PcdTrainer {
         epochs: usize,
         streams: RngStreams,
     ) -> EpochStats {
-        let mut last = EpochStats {
-            batches: 0,
-            reconstruction_error: 0.0,
-            gradient_norm: 0.0,
-        };
-        for epoch in 0..epochs {
-            last = self.train_epoch_par(rbm, data, batch_size, streams.subfamily(epoch as u64));
-        }
-        last
+        last_epoch(epochs, |e| {
+            self.train_epoch_par(rbm, data, batch_size, streams.subfamily(e))
+        })
     }
 
     /// Full run of `epochs` epochs; returns the final epoch's statistics.
@@ -487,15 +325,7 @@ impl PcdTrainer {
         epochs: usize,
         rng: &mut R,
     ) -> EpochStats {
-        let mut last = EpochStats {
-            batches: 0,
-            reconstruction_error: 0.0,
-            gradient_norm: 0.0,
-        };
-        for _ in 0..epochs {
-            last = self.train_epoch(rbm, data, batch_size, rng);
-        }
-        last
+        last_epoch(epochs, |_| self.train_epoch(rbm, data, batch_size, rng))
     }
 }
 

@@ -34,8 +34,8 @@ fn lane_index(priority: Priority) -> usize {
 
 /// Builder for [`SamplingService`] (see there for the architecture).
 ///
-/// Defaults: 2 shards, a 1024-row queue, coalescing on with batches of
-/// up to 64 rows and a zero coalescing window (dispatch immediately),
+/// Defaults: 2 shards, a 1024-row queue, coalesced batches of up to 64
+/// rows and a zero coalescing window (dispatch immediately),
 /// master seed `0x5EED`, the default
 /// [`RetryPolicy`] against substrate faults, and a circuit breaker that
 /// degrades a model to the software fallback after 3 consecutive
@@ -45,7 +45,6 @@ pub struct ServiceBuilder {
     shards: usize,
     queue_rows: usize,
     max_coalesce_rows: usize,
-    coalescing: bool,
     coalesce_window: Duration,
     master_seed: u64,
     retry_policy: RetryPolicy,
@@ -82,7 +81,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Upper bound on the rows one coalesced batch may gather.
+    /// Upper bound on the rows one coalesced batch may gather. `1`
+    /// serves request-at-a-time: a group never takes a second member.
     ///
     /// # Panics
     ///
@@ -91,14 +91,6 @@ impl ServiceBuilder {
     pub fn max_coalesce_rows(mut self, rows: usize) -> Self {
         assert!(rows >= 1, "coalesce bound must be at least one row");
         self.max_coalesce_rows = rows;
-        self
-    }
-
-    /// Enables or disables request coalescing. Disabled, every request
-    /// is executed alone (the request-at-a-time baseline).
-    #[must_use]
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.coalescing = on;
         self
     }
 
@@ -191,7 +183,6 @@ impl ServiceBuilder {
             prototypes: Mutex::new(HashMap::new()),
             queue_rows: self.queue_rows,
             max_coalesce_rows: self.max_coalesce_rows,
-            coalescing: self.coalescing,
             coalesce_window: self.coalesce_window,
             retry_policy: self.retry_policy,
             breaker_threshold: self.breaker_threshold,
@@ -222,7 +213,6 @@ impl Default for ServiceBuilder {
             shards: 2,
             queue_rows: 1024,
             max_coalesce_rows: 64,
-            coalescing: true,
             coalesce_window: Duration::ZERO,
             master_seed: 0x5EED,
             retry_policy: RetryPolicy::default(),
@@ -1058,7 +1048,6 @@ struct Core {
     prototypes: Mutex<HashMap<String, Box<dyn ReplicableSubstrate>>>,
     queue_rows: usize,
     max_coalesce_rows: usize,
-    coalescing: bool,
     coalesce_window: Duration,
     retry_policy: RetryPolicy,
     breaker_threshold: u32,
@@ -1069,7 +1058,6 @@ impl std::fmt::Debug for Core {
         f.debug_struct("Core")
             .field("queue_rows", &self.queue_rows)
             .field("max_coalesce_rows", &self.max_coalesce_rows)
-            .field("coalescing", &self.coalescing)
             .field("coalesce_window", &self.coalesce_window)
             .field("retry_policy", &self.retry_policy)
             .field("breaker_threshold", &self.breaker_threshold)
@@ -1261,6 +1249,9 @@ fn gather_same_key(
     rows: &mut usize,
     members: &mut Vec<QueuedSample>,
 ) {
+    if *rows >= max_rows {
+        return; // full: admits nothing, so skip the walk
+    }
     let mut kept = VecDeque::with_capacity(lane.len());
     while let Some(item) = lane.pop_front() {
         match item {
@@ -1319,59 +1310,57 @@ fn next_work(core: &Core, shard: usize) -> Work {
                 let key_steps = first.request.gibbs_steps;
                 let mut members = vec![first];
                 st.in_flight += 1;
-                if core.coalescing {
-                    {
-                        let state = &mut *st;
-                        gather_same_key(
-                            &mut state.lanes[lane_idx],
-                            &mut state.queued_rows,
-                            &key_model,
-                            key_steps,
-                            core.max_coalesce_rows,
-                            &mut rows,
-                            &mut members,
-                        );
+                {
+                    let state = &mut *st;
+                    gather_same_key(
+                        &mut state.lanes[lane_idx],
+                        &mut state.queued_rows,
+                        &key_model,
+                        key_steps,
+                        core.max_coalesce_rows,
+                        &mut rows,
+                        &mut members,
+                    );
+                }
+                if core.coalesce_window > Duration::ZERO && rows < core.max_coalesce_rows {
+                    // Earliest of: window out (from the oldest
+                    // member's enqueue) or any member's deadline.
+                    let mut wake = members[0].enqueued_at + core.coalesce_window;
+                    for m in &members {
+                        if let Some(d) = m.request.deadline {
+                            wake = wake.min(d);
+                        }
                     }
-                    if core.coalesce_window > Duration::ZERO && rows < core.max_coalesce_rows {
-                        // Earliest of: window out (from the oldest
-                        // member's enqueue) or any member's deadline.
-                        let mut wake = members[0].enqueued_at + core.coalesce_window;
-                        for m in &members {
+                    loop {
+                        if rows >= core.max_coalesce_rows || !st.open {
+                            break;
+                        }
+                        if lane_idx == LANE_BULK && !st.lanes[LANE_INTERACTIVE].is_empty() {
+                            break;
+                        }
+                        let now = Instant::now();
+                        if now >= wake {
+                            break;
+                        }
+                        let (guard, _) =
+                            core.cv.wait_timeout(st, wake - now).expect("service lock");
+                        st = guard;
+                        let before = members.len();
+                        {
+                            let state = &mut *st;
+                            gather_same_key(
+                                &mut state.lanes[lane_idx],
+                                &mut state.queued_rows,
+                                &key_model,
+                                key_steps,
+                                core.max_coalesce_rows,
+                                &mut rows,
+                                &mut members,
+                            );
+                        }
+                        for m in &members[before..] {
                             if let Some(d) = m.request.deadline {
                                 wake = wake.min(d);
-                            }
-                        }
-                        loop {
-                            if rows >= core.max_coalesce_rows || !st.open {
-                                break;
-                            }
-                            if lane_idx == LANE_BULK && !st.lanes[LANE_INTERACTIVE].is_empty() {
-                                break;
-                            }
-                            let now = Instant::now();
-                            if now >= wake {
-                                break;
-                            }
-                            let (guard, _) =
-                                core.cv.wait_timeout(st, wake - now).expect("service lock");
-                            st = guard;
-                            let before = members.len();
-                            {
-                                let state = &mut *st;
-                                gather_same_key(
-                                    &mut state.lanes[lane_idx],
-                                    &mut state.queued_rows,
-                                    &key_model,
-                                    key_steps,
-                                    core.max_coalesce_rows,
-                                    &mut rows,
-                                    &mut members,
-                                );
-                            }
-                            for m in &members[before..] {
-                                if let Some(d) = m.request.deadline {
-                                    wake = wake.min(d);
-                                }
                             }
                         }
                     }

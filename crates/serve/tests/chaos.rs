@@ -240,7 +240,7 @@ fn expired_drain_aborts_queued_requests_with_typed_errors() {
     ));
     let service = SamplingService::builder()
         .shards(1)
-        .coalescing(false)
+        .max_coalesce_rows(1)
         .build();
     service.register_model(MODEL, rbm, pinned).unwrap();
 

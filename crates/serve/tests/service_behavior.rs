@@ -95,7 +95,7 @@ fn disabling_coalescing_serves_request_at_a_time() {
     let (rbm, proto) = fixture(32, 16);
     let service = SamplingService::builder()
         .shards(1)
-        .coalescing(false)
+        .max_coalesce_rows(1)
         .build();
     service.register_model("m", rbm, proto).unwrap();
     let handles: Vec<_> = (0..8)
@@ -359,7 +359,7 @@ fn panicking_request_does_not_hang_its_neighbors() {
     ));
     let service = SamplingService::builder()
         .shards(1)
-        .coalescing(false)
+        .max_coalesce_rows(1)
         .build();
     service.register_model("m", rbm, chaotic).unwrap();
 
