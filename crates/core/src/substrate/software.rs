@@ -221,22 +221,47 @@ impl Substrate for SoftwareGibbs {
             self.variation.factors().dim(),
             "fabricated size"
         );
-        let programmed = weights.to_owned() * self.variation.factors();
+        // A transposed view is copied once into row-major order.
+        let owned;
+        let weights = match weights.as_slice() {
+            Some(weights) => weights,
+            None => {
+                owned = weights.to_owned();
+                owned.as_slice()
+            }
+        };
+        let factors = self.variation.factors().as_slice();
         // Re-programming identical weights is the volatile-substrate
         // norm for direct callers and chaos-wrapped replicas (the
         // serving layer skips this call, counting the words itself,
         // when an infallible replica already holds the group's model
         // snapshot): the physical words are paid either way (counted
-        // below), but the host-side derived caches — transpose and
-        // squared weights for the packed kernel — only rebuild when the
-        // realized array actually moved.
-        if programmed != self.weights {
-            self.weights_t = programmed.t().to_owned();
-            if self.sq_weights.is_some() {
-                self.sq_weights = Some(programmed.mapv(|w| w * w));
-                self.sq_weights_t = Some(self.weights_t.mapv(|w| w * w));
+        // below), but the host-side arrays — the realized weights, their
+        // transpose and the squared caches — only change when some
+        // realized weight `w·f` differs from the held one. That is
+        // `==`, so a zero of the other sign keeps the held bits and a
+        // NaN always rewrites. The rewrite is in place: a fresh
+        // weight-sized array page-faults on every training minibatch.
+        let moved = weights
+            .iter()
+            .zip(factors)
+            .zip(self.weights.as_slice())
+            .any(|((&w, &f), &held)| w * f != held);
+        if moved {
+            for ((held, &w), &f) in self
+                .weights
+                .as_mut_slice()
+                .iter_mut()
+                .zip(weights)
+                .zip(factors)
+            {
+                *held = w * f;
             }
-            self.weights = programmed;
+            transpose_into(&self.weights, &mut self.weights_t);
+            if let (Some(sq), Some(sq_t)) = (&mut self.sq_weights, &mut self.sq_weights_t) {
+                square_into(&self.weights, sq);
+                square_into(&self.weights_t, sq_t);
+            }
         }
         self.visible_bias = visible_bias.to_owned();
         self.hidden_bias = hidden_bias.to_owned();
@@ -244,6 +269,12 @@ impl Substrate for SoftwareGibbs {
     }
 
     fn quantize_batch(&self, levels: &Array2<f64>) -> Array2<f64> {
+        // Bitwise +0.0 and 1.0 are fixed points of the DTC
+        // (`round(0·s)/s = 0`, `round(1·s)/s = 1`, and the INL bow is
+        // zero at both ends), so exactly binary data passes through.
+        if levels.iter().all(|&x| x.to_bits() == 0 || x == 1.0) {
+            return levels.clone();
+        }
         levels.mapv(|x| self.dtc.convert(x))
     }
 
@@ -279,6 +310,30 @@ impl Substrate for SoftwareGibbs {
 
     fn counters_mut(&mut self) -> &mut HardwareCounters {
         &mut self.counters
+    }
+}
+
+/// Writes the transpose of `a` into `t`, tile by tile, so that the
+/// strided side of each tile stays in cache.
+fn transpose_into(a: &Array2<f64>, t: &mut Array2<f64>) {
+    const TILE: usize = 32;
+    let (m, n) = a.dim();
+    let (a, t) = (a.as_slice(), t.as_mut_slice());
+    for i0 in (0..m).step_by(TILE) {
+        for j0 in (0..n).step_by(TILE) {
+            for i in i0..(i0 + TILE).min(m) {
+                for j in j0..(j0 + TILE).min(n) {
+                    t[j * m + i] = a[i * n + j];
+                }
+            }
+        }
+    }
+}
+
+/// Writes the element-wise squares of `a` into `sq`.
+fn square_into(a: &Array2<f64>, sq: &mut Array2<f64>) {
+    for (sq, &w) in sq.as_mut_slice().iter_mut().zip(a.iter()) {
+        *sq = w * w;
     }
 }
 
@@ -429,5 +484,81 @@ mod tests {
         let sub = SoftwareGibbs::new(2, 2, &GsConfig::default(), &mut rng);
         let x = ndarray::arr2(&[[0.0, 1.0], [1.0, 0.0]]);
         assert_eq!(sub.quantize_batch(&x), x);
+    }
+
+    fn bits(a: &Array2<f64>) -> Vec<u64> {
+        a.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The realized, transposed and squared arrays, bit for bit.
+    fn held_bits(sub: &SoftwareGibbs) -> Vec<Vec<u64>> {
+        let mut held = vec![bits(&sub.weights), bits(&sub.weights_t)];
+        held.extend(sub.sq_weights.iter().map(bits));
+        held.extend(sub.sq_weights_t.iter().map(bits));
+        held
+    }
+
+    #[test]
+    fn reprogramming_holds_what_a_fresh_program_holds() {
+        use ember_analog::NoiseModel;
+        for noisy in [false, true] {
+            let mut config = GsConfig::default();
+            if noisy {
+                config = config.with_noise(NoiseModel::new(0.05, 0.1).unwrap());
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+            let proto = SoftwareGibbs::new(19, 7, &config, &mut rng);
+            let mut draw = || Array2::from_shape_fn((19, 7), |_| rng.random_range(-0.8..0.8));
+            let (w1, w2) = (draw(), draw());
+            let (bv, bh) = (Array1::zeros(19), Array1::zeros(7));
+            let mut sub = proto.clone();
+            for w in [&w1, &w2, &w1] {
+                sub.program(&w.view(), &bv.view(), &bh.view());
+            }
+            let mut fresh = proto.clone();
+            fresh.program(&w1.view(), &bv.view(), &bh.view());
+            assert_eq!(held_bits(&sub), held_bits(&fresh));
+            assert_eq!(bits(&sub.weights_t), bits(&sub.weights.t().to_owned()));
+            let squares = |a: &Array2<f64>| bits(&a.mapv(|w| w * w));
+            assert_eq!(
+                sub.sq_weights.as_ref().map(bits),
+                noisy.then(|| squares(&sub.weights))
+            );
+            assert_eq!(
+                sub.sq_weights_t.as_ref().map(bits),
+                noisy.then(|| squares(&sub.weights_t))
+            );
+
+            // Equal under `==` but a zero of the other sign: the held
+            // arrays keep their bits.
+            let mut zeros = w1.clone();
+            zeros[[2, 3]] = 0.0;
+            sub.program(&zeros.view(), &bv.view(), &bh.view());
+            let held = held_bits(&sub);
+            zeros[[2, 3]] = -0.0;
+            sub.program(&zeros.view(), &bv.view(), &bh.view());
+            assert_eq!(held_bits(&sub), held);
+        }
+    }
+
+    #[test]
+    fn binary_levels_quantize_as_the_dtc_converts_them() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let binary = Array2::from_shape_fn((5, 6), |_| f64::from(rng.random_bool(0.4)));
+        let mut signed_zero = binary.clone();
+        signed_zero[[1, 2]] = -0.0;
+        for dtc_bits in 1..=8 {
+            let config = GsConfig::default().with_dtc_bits(dtc_bits);
+            let sub = SoftwareGibbs::new(6, 3, &config, &mut rng);
+            let dtc = Dtc::new(dtc_bits, 0.0).unwrap();
+            for levels in [&binary, &signed_zero] {
+                let want = levels.mapv(|x| dtc.convert(x));
+                assert_eq!(
+                    bits(&sub.quantize_batch(levels)),
+                    bits(&want),
+                    "{dtc_bits} bits"
+                );
+            }
+        }
     }
 }

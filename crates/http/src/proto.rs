@@ -238,21 +238,41 @@ fn read_body<R: BufRead>(
     if header_lookup(headers, "Transfer-Encoding").is_some() {
         return Ok(Err(ParseError::UnsupportedFraming));
     }
-    let len = match header_lookup(headers, "Content-Length") {
-        None => return Ok(Ok(Vec::new())),
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(len) if len <= max_body => len,
-            Ok(_) => {
-                return Ok(Err(ParseError::TooLarge(format!(
-                    "Content-Length exceeds {max_body} bytes"
-                ))))
-            }
-            Err(_) => {
+    // RFC 9112 §6.3: a length that is not all digits (`parse` would also
+    // take a sign), or repeated lengths that disagree, is invalid framing.
+    let mut declared = None;
+    for (name, raw) in headers {
+        if !name.eq_ignore_ascii_case("Content-Length") {
+            continue;
+        }
+        let raw = raw.trim();
+        let len = raw
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| raw.parse::<usize>().ok())
+            .flatten();
+        match (len, declared) {
+            (None, _) => {
                 return Ok(Err(ParseError::Malformed(format!(
                     "unparseable Content-Length {raw:?}"
                 ))))
             }
-        },
+            (Some(len), Some(first)) if len != first => {
+                return Ok(Err(ParseError::Malformed(format!(
+                    "conflicting Content-Length {first} and {len}"
+                ))))
+            }
+            (Some(len), _) => declared = Some(len),
+        }
+    }
+    let len = match declared {
+        None => return Ok(Ok(Vec::new())),
+        Some(len) if len <= max_body => len,
+        Some(_) => {
+            return Ok(Err(ParseError::TooLarge(format!(
+                "Content-Length exceeds {max_body} bytes"
+            ))))
+        }
     };
     let mut body = vec![0u8; len];
     match r.read_exact(&mut body) {
@@ -412,6 +432,29 @@ mod tests {
         ));
         let outcome = read_request_limited(&mut BufReader::new(raw.as_slice()), 5).unwrap();
         assert!(matches!(outcome, ReadOutcome::Request(req) if req.body == b"hello"));
+    }
+
+    #[test]
+    fn signed_or_conflicting_content_lengths_are_malformed() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd";
+        assert!(matches!(
+            parse(raw),
+            ReadOutcome::Invalid(ParseError::Malformed(_))
+        ));
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\nabcd";
+        assert!(matches!(
+            parse(raw),
+            ReadOutcome::Invalid(ParseError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn agreeing_duplicate_content_lengths_frame_the_body() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd";
+        let ReadOutcome::Request(req) = parse(raw) else {
+            panic!("expected request");
+        };
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]

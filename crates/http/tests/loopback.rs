@@ -469,3 +469,32 @@ fn bad_train_knobs_are_400_and_a_one_worker_edge_serves_on() {
     let report = server.shutdown(Duration::from_secs(5));
     assert!(report.connections_drained);
 }
+
+/// JSON `1e999` parses to infinity. Training data that is not finite or
+/// lies outside [0, 1] is a `400`, and no version is published: the next
+/// valid request publishes version 2.
+#[test]
+fn non_finite_or_out_of_range_training_data_is_400() {
+    let server = Server::start("127.0.0.1:0", service_at(1, 37, 4, 3)).unwrap();
+    let path = "/v1/models/m/train";
+    for level in ["1e999", "-1e999", "1.5", "-0.5"] {
+        let answer = post_raw(
+            server.addr(),
+            path,
+            &format!(r#"{{"data": [[0, {level}, 0, 1]]}}"#),
+        );
+        assert!(answer.starts_with("HTTP/1.1 400"), "{level}: {answer:?}");
+        assert!(answer.contains("invalid_request"), "{level}: {answer:?}");
+    }
+    let answer = post_raw(
+        server.addr(),
+        path,
+        r#"{"data": [[0, 1, 0, 1]], "seed": 2}"#,
+    );
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
+    assert!(
+        answer.contains("X-Ember-Model-Version: 2\r\n"),
+        "{answer:?}"
+    );
+    server.shutdown(Duration::from_secs(5));
+}

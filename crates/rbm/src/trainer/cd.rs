@@ -7,7 +7,7 @@ use ember_substrate::{Side, Substrate};
 use crate::gibbs;
 use crate::trainer::{
     check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, on_replicas,
-    program, EpochStats,
+    program, CoCounts, EpochStats,
 };
 use crate::{Rbm, RngStreams};
 
@@ -247,6 +247,12 @@ impl CdTrainer {
 
     /// Shared host-side gradient step (lines 17–19 of Algorithm 1 with
     /// momentum and weight decay): the common tail of every CD variant.
+    ///
+    /// When the data and the phases are exactly binary ([`CoCounts`]),
+    /// `W` and its velocity update in one fused pass that reads each
+    /// gradient entry `(a − b)/bs` from a table of the `2·bs + 1`
+    /// possible quotients, with no weight-sized temporary. Otherwise the
+    /// dense products serve. The bits are the same either way.
     fn apply_gradients(
         &self,
         rbm: &mut Rbm,
@@ -260,24 +266,55 @@ impl CdTrainer {
             bh: velocity_bh,
         } = velocity;
         let bs = batch.nrows() as f64;
-        let grad_w = (batch.t().dot(h_pos) - v_neg.t().dot(h_neg)) / bs;
         let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
         let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
-        let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
+        let grad_norm = match CoCounts::of([batch, h_pos, v_neg, h_neg]) {
+            Some(mut counts) => {
+                // `quotient[negs + a − b] = (a − b) / bs`.
+                let negs = v_neg.nrows();
+                let quotient: Vec<f64> = (0..=batch.nrows() + negs)
+                    .map(|k| (k as f64 - negs as f64) / bs)
+                    .collect();
+                // `max(1)`: `chunks_exact_mut` needs a nonzero width.
+                let n = rbm.hidden_len().max(1);
+                let rows = rbm
+                    .weights_mut()
+                    .as_mut_slice()
+                    .chunks_exact_mut(n)
+                    .zip(velocity_w.as_mut_slice().chunks_exact_mut(n));
+                // -0.0, where `Sum for f64` starts: an empty `W` matches too.
+                let mut sum_sq = -0.0;
+                for (i, (weights, velocity)) in rows.enumerate() {
+                    let (a, b) = counts.row(i);
+                    for (((w, v), &a), &b) in weights.iter_mut().zip(velocity).zip(a).zip(b) {
+                        let g = quotient[negs + usize::from(a) - usize::from(b)];
+                        sum_sq += g * g;
+                        *v = *v * self.momentum + (g - *w * self.weight_decay) * self.learning_rate;
+                        *w += *v;
+                    }
+                }
+                sum_sq.sqrt()
+            }
+            None => {
+                let grad_w = (batch.t().dot(h_pos) - v_neg.t().dot(h_neg)) / bs;
+                let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
+                // In place: weight-sized temporaries page-fault on every
+                // training request. Each element's operations keep their
+                // order.
+                for ((v, &g), &w) in velocity_w
+                    .iter_mut()
+                    .zip(grad_w.iter())
+                    .zip(rbm.weights().iter())
+                {
+                    *v = *v * self.momentum + (g - w * self.weight_decay) * self.learning_rate;
+                }
+                *rbm.weights_mut() += &*velocity_w;
+                grad_norm
+            }
+        };
 
-        // In place: weight-sized temporaries page-fault on every
-        // training request. Each element's operations keep their order.
-        for ((v, &g), &w) in velocity_w
-            .iter_mut()
-            .zip(grad_w.iter())
-            .zip(rbm.weights().iter())
-        {
-            *v = *v * self.momentum + (g - w * self.weight_decay) * self.learning_rate;
-        }
         *velocity_bv = &*velocity_bv * self.momentum + &grad_bv * self.learning_rate;
         *velocity_bh = &*velocity_bh * self.momentum + &grad_bh * self.learning_rate;
-
-        *rbm.weights_mut() += &*velocity_w;
         *rbm.visible_bias_mut() += &*velocity_bv;
         *rbm.hidden_bias_mut() += &*velocity_bh;
 
@@ -354,6 +391,7 @@ impl CdTrainer {
 
 /// Momentum state carried across one epoch's minibatches: the previous
 /// update of `W`, `b_v` and `b_h`.
+#[derive(Clone)]
 struct Velocity {
     w: Array2<f64>,
     bv: Array1<f64>,
@@ -454,5 +492,107 @@ mod tests {
             rbm
         };
         assert_eq!(run(9), run(9));
+    }
+
+    /// The dense gradient step, expression for expression: the reference
+    /// `apply_gradients` must match bit for bit on every input.
+    fn dense_step(
+        trainer: &CdTrainer,
+        rbm: &mut Rbm,
+        batch: &Array2<f64>,
+        [h_pos, v_neg, h_neg]: &[Array2<f64>; 3],
+        velocity: &mut Velocity,
+    ) -> (f64, f64) {
+        let bs = batch.nrows() as f64;
+        let grad_w = (batch.t().dot(h_pos) - v_neg.t().dot(h_neg)) / bs;
+        let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
+        let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
+        let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
+        for ((v, &g), &w) in velocity
+            .w
+            .iter_mut()
+            .zip(grad_w.iter())
+            .zip(rbm.weights().iter())
+        {
+            *v = *v * trainer.momentum + (g - w * trainer.weight_decay) * trainer.learning_rate;
+        }
+        velocity.bv = &velocity.bv * trainer.momentum + &grad_bv * trainer.learning_rate;
+        velocity.bh = &velocity.bh * trainer.momentum + &grad_bh * trainer.learning_rate;
+        *rbm.weights_mut() += &velocity.w;
+        *rbm.visible_bias_mut() += &velocity.bv;
+        *rbm.hidden_bias_mut() += &velocity.bh;
+        let recon = (v_neg - batch).mapv(f64::abs).mean().unwrap_or(0.0);
+        (recon, grad_norm)
+    }
+
+    /// Every bit of the trained state: weights, biases and velocity.
+    fn state_bits(rbm: &Rbm, velocity: &Velocity) -> Vec<u64> {
+        [
+            rbm.weights().as_slice(),
+            rbm.visible_bias().as_slice(),
+            rbm.hidden_bias().as_slice(),
+            velocity.w.as_slice(),
+            velocity.bv.as_slice(),
+            velocity.bh.as_slice(),
+        ]
+        .concat()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+    }
+
+    #[test]
+    fn gradient_step_matches_the_dense_expressions_bit_for_bit() {
+        let (m, n) = (37, 11);
+        let trainer = CdTrainer::new(1, 0.05)
+            .with_momentum(0.5)
+            .with_weight_decay(1e-3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let binary = |rng: &mut rand::rngs::StdRng, rows, cols| {
+            Array2::from_shape_fn((rows, cols), |_| f64::from(rng.random_bool(0.3)))
+        };
+        // Binary phases at batch sizes around the count and lane widths,
+        // then gray data, then binary data with a single gray entry.
+        let mut batches = Vec::new();
+        for bs in [1, 5, 63, 64, 65, 130] {
+            batches.push(binary(&mut rng, bs, m));
+        }
+        batches.push(Array2::from_shape_fn((9, m), |_| {
+            f64::from(rng.random_range(0..=255u8)) / 255.0
+        }));
+        let mut one_gray = binary(&mut rng, 8, m);
+        one_gray[[3, 17]] = 0.5;
+        batches.push(one_gray);
+
+        for batch in batches {
+            let bs = batch.nrows();
+            let mut got = Rbm::random(m, n, 0.1, &mut rng);
+            let mut got_v = Velocity {
+                w: Array2::from_shape_fn((m, n), |_| rng.random_range(-0.01..0.01)),
+                bv: Array1::from_shape_fn(m, |_| rng.random_range(-0.01..0.01)),
+                bh: Array1::from_shape_fn(n, |_| rng.random_range(-0.01..0.01)),
+            };
+            let (mut want, mut want_v) = (got.clone(), got_v.clone());
+            // Two consecutive steps, so the second reads the first's
+            // velocity.
+            for _ in 0..2 {
+                let phases = [
+                    binary(&mut rng, bs, n),
+                    binary(&mut rng, bs, m),
+                    binary(&mut rng, bs, n),
+                ];
+                let (got_recon, got_norm) =
+                    trainer.apply_gradients(&mut got, &batch, &phases, &mut got_v);
+                let (want_recon, want_norm) =
+                    dense_step(&trainer, &mut want, &batch, &phases, &mut want_v);
+                assert_eq!(got_recon.to_bits(), want_recon.to_bits(), "recon, bs {bs}");
+                assert_eq!(got_norm.to_bits(), want_norm.to_bits(), "norm, bs {bs}");
+            }
+            assert_eq!(
+                state_bits(&got, &got_v),
+                state_bits(&want, &want_v),
+                "bs {bs}"
+            );
+        }
     }
 }

@@ -22,6 +22,14 @@
 //!
 //! Each trainer writes its chain once (`phases`), generic over the
 //! half-step that draws one side given the other.
+//!
+//! The host's gradient step counts instead of multiplying when it can.
+//! When the data and all three sampled phases are exactly binary, every
+//! entry of `v⁺ᵀh⁺` and `v⁻ᵀh⁻` is a small integer co-count (`CoCounts`),
+//! so the weight update is one fused pass over `W` (and the velocity)
+//! that reads each gradient entry from a table of quotients, with no
+//! weight-sized temporary. Gray data takes the dense products. Both
+//! paths give the same bits.
 
 mod cd;
 mod ml;
@@ -33,7 +41,7 @@ pub use pcd::PcdTrainer;
 
 use std::sync::Mutex;
 
-use ndarray::{s, Array2};
+use ndarray::{s, Array2, ArrayView1};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
@@ -150,6 +158,76 @@ pub(crate) fn count_minibatch(
     counters.negative_samples += negatives as u64;
     counters.host_mac_ops +=
         (positives + negatives) as u64 * (m * n) as u64 + (m * n + m + n) as u64;
+}
+
+/// Exact co-counts of a minibatch whose phases are all binary: the
+/// entries of `v⁺ᵀh⁺` and `v⁻ᵀh⁻`, one visible unit at a time.
+///
+/// Each entry is a sum of products of 0/1 values. That is a small
+/// integer, which `f64` holds exactly in any summation order, so the
+/// counts equal the dense GEMMs' outputs bit for bit, and a gradient
+/// computed from them (`(a − b)/bs`, or `a/bs − b/p`) keeps every bit
+/// of the dense step without materializing either product.
+pub(crate) struct CoCounts<'a> {
+    v_pos: &'a Array2<f64>,
+    v_neg: &'a Array2<f64>,
+    /// `h⁺` and `h⁻`, row-major, as `u16` 0/1 values.
+    h_pos: Vec<u16>,
+    h_neg: Vec<u16>,
+    /// The last unit's counts (see [`CoCounts::row`]).
+    pos: Vec<u16>,
+    neg: Vec<u16>,
+}
+
+impl<'a> CoCounts<'a> {
+    /// `None` unless `v⁺`, `h⁺`, `v⁻` and `h⁻` hold only bitwise `+0.0`
+    /// and `1.0`, and both row counts fit in `u16`. Then only the dense
+    /// products serve (gray DTC data, or a hostile value).
+    pub(crate) fn of(phases: [&'a Array2<f64>; 4]) -> Option<Self> {
+        let [v_pos, h_pos, v_neg, h_neg] = phases;
+        let fits = |a: &Array2<f64>| a.nrows() <= usize::from(u16::MAX);
+        if !(fits(v_pos) && fits(v_neg) && phases.iter().all(|a| binary(a))) {
+            return None;
+        }
+        let bits = |h: &Array2<f64>| h.iter().map(|&x| u16::from(x == 1.0)).collect();
+        Some(CoCounts {
+            v_pos,
+            v_neg,
+            h_pos: bits(h_pos),
+            h_neg: bits(h_neg),
+            pos: vec![0; h_pos.ncols()],
+            neg: vec![0; h_pos.ncols()],
+        })
+    }
+
+    /// Visible unit `i`'s counts `(a, b)`, with `a[j] = Σ_r v⁺[r,i]·h⁺[r,j]`
+    /// and `b[j] = Σ_r v⁻[r,i]·h⁻[r,j]`.
+    pub(crate) fn row(&mut self, i: usize) -> (&[u16], &[u16]) {
+        sum_selected(&mut self.pos, self.v_pos.column(i), &self.h_pos);
+        sum_selected(&mut self.neg, self.v_neg.column(i), &self.h_neg);
+        (&self.pos, &self.neg)
+    }
+}
+
+/// Whether every entry of `a` is bitwise `+0.0` or `1.0`.
+fn binary(a: &Array2<f64>) -> bool {
+    // A fold rather than `all`: without the early exit it vectorizes.
+    a.iter().fold(true, |binary, &x| {
+        binary & ((x.to_bits() == 0) | (x == 1.0))
+    })
+}
+
+/// Sets `acc` to the sum of the `u16` rows of `h` that the binary
+/// `select` picks.
+fn sum_selected(acc: &mut [u16], select: ArrayView1<'_, f64>, h: &[u16]) {
+    acc.fill(0);
+    for (&s, h) in select.iter().zip(h.chunks_exact(acc.len().max(1))) {
+        if s == 1.0 {
+            for (a, &h) in acc.iter_mut().zip(h) {
+                *a += h;
+            }
+        }
+    }
 }
 
 /// The host's exact half-step: samples `side` of every row given the

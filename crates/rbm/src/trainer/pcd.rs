@@ -7,7 +7,7 @@ use ember_substrate::{Side, Substrate};
 use crate::gibbs;
 use crate::trainer::{
     check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, on_replicas,
-    program, EpochStats,
+    program, CoCounts, EpochStats,
 };
 use crate::{Rbm, RngStreams};
 
@@ -128,6 +128,12 @@ impl PcdTrainer {
     /// Shared host-side gradient step: data statistics normalized by the
     /// batch size, particle statistics by the particle count. The common
     /// tail of every PCD variant; `v⁻` becomes the new particle set.
+    ///
+    /// When the data and the phases are exactly binary ([`CoCounts`]),
+    /// `W` updates in one fused pass that reads each gradient entry
+    /// `a/bs − b/p` from two tables of quotients, with no weight-sized
+    /// temporary. Otherwise the dense products serve. The bits are the
+    /// same either way.
     fn apply_gradients(
         &mut self,
         rbm: &mut Rbm,
@@ -136,12 +142,35 @@ impl PcdTrainer {
     ) -> (f64, f64) {
         let bs = batch.nrows() as f64;
         let p = v_neg.nrows() as f64;
-        let grad_w = batch.t().dot(&h_pos) / bs - v_neg.t().dot(&h_neg) / p;
         let grad_bv = batch.sum_axis(Axis(0)) / bs - v_neg.sum_axis(Axis(0)) / p;
         let grad_bh = h_pos.sum_axis(Axis(0)) / bs - h_neg.sum_axis(Axis(0)) / p;
-        let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
+        let grad_norm = match CoCounts::of([batch, &h_pos, &v_neg, &h_neg]) {
+            Some(mut counts) => {
+                let pos: Vec<f64> = (0..=batch.nrows()).map(|a| a as f64 / bs).collect();
+                let neg: Vec<f64> = (0..=v_neg.nrows()).map(|b| b as f64 / p).collect();
+                // `max(1)`: `chunks_exact_mut` needs a nonzero width.
+                let n = rbm.hidden_len().max(1);
+                let rows = rbm.weights_mut().as_mut_slice().chunks_exact_mut(n);
+                // -0.0, where `Sum for f64` starts: an empty `W` matches too.
+                let mut sum_sq = -0.0;
+                for (i, weights) in rows.enumerate() {
+                    let (a, b) = counts.row(i);
+                    for ((w, &a), &b) in weights.iter_mut().zip(a).zip(b) {
+                        let g = pos[usize::from(a)] - neg[usize::from(b)];
+                        sum_sq += g * g;
+                        *w += g * self.learning_rate;
+                    }
+                }
+                sum_sq.sqrt()
+            }
+            None => {
+                let grad_w = batch.t().dot(&h_pos) / bs - v_neg.t().dot(&h_neg) / p;
+                let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
+                *rbm.weights_mut() += &(&grad_w * self.learning_rate);
+                grad_norm
+            }
+        };
 
-        *rbm.weights_mut() += &(&grad_w * self.learning_rate);
         *rbm.visible_bias_mut() += &(&grad_bv * self.learning_rate);
         *rbm.hidden_bias_mut() += &(&grad_bh * self.learning_rate);
 
@@ -356,6 +385,84 @@ mod tests {
         trainer.train_epoch(&mut rbm, &data, 5, &mut rng);
         assert_ne!(&before, trainer.particles());
         assert_eq!(trainer.particle_count(), 8);
+    }
+
+    /// The dense gradient step, expression for expression: the reference
+    /// `apply_gradients` must match bit for bit on every input.
+    fn dense_step(
+        lr: f64,
+        rbm: &mut Rbm,
+        batch: &Array2<f64>,
+        [h_pos, v_neg, h_neg]: &[Array2<f64>; 3],
+    ) -> (f64, f64) {
+        let bs = batch.nrows() as f64;
+        let p = v_neg.nrows() as f64;
+        let grad_w = batch.t().dot(h_pos) / bs - v_neg.t().dot(h_neg) / p;
+        let grad_bv = batch.sum_axis(Axis(0)) / bs - v_neg.sum_axis(Axis(0)) / p;
+        let grad_bh = h_pos.sum_axis(Axis(0)) / bs - h_neg.sum_axis(Axis(0)) / p;
+        let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
+        *rbm.weights_mut() += &(&grad_w * lr);
+        *rbm.visible_bias_mut() += &(&grad_bv * lr);
+        *rbm.hidden_bias_mut() += &(&grad_bh * lr);
+        let d = batch.mean_axis(Axis(0)).expect("non-empty batch");
+        let m = v_neg.mean_axis(Axis(0)).expect("non-empty particles");
+        ((&d - &m).mapv(f64::abs).mean().unwrap_or(0.0), grad_norm)
+    }
+
+    /// Every bit of the trained weights and biases.
+    fn rbm_bits(rbm: &Rbm) -> Vec<u64> {
+        [
+            rbm.weights().as_slice(),
+            rbm.visible_bias().as_slice(),
+            rbm.hidden_bias().as_slice(),
+        ]
+        .concat()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+    }
+
+    #[test]
+    fn gradient_step_matches_the_dense_expressions_bit_for_bit() {
+        let (m, n, lr) = (37, 11, 0.05);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let binary = |rng: &mut rand::rngs::StdRng, rows, cols| {
+            Array2::from_shape_fn((rows, cols), |_| f64::from(rng.random_bool(0.3)))
+        };
+        // (batch rows, particles): binary phases at sizes around the
+        // count and lane widths, then gray data, then binary data with a
+        // single gray entry.
+        let mut cases = Vec::new();
+        for (bs, p) in [(1, 4), (5, 7), (63, 64), (64, 65), (65, 130), (130, 1)] {
+            cases.push((binary(&mut rng, bs, m), p));
+        }
+        let gray =
+            Array2::from_shape_fn((9, m), |_| f64::from(rng.random_range(0..=255u8)) / 255.0);
+        cases.push((gray, 6));
+        let mut one_gray = binary(&mut rng, 8, m);
+        one_gray[[3, 17]] = 0.5;
+        cases.push((one_gray, 5));
+
+        for (batch, p) in cases {
+            let bs = batch.nrows();
+            let mut got = Rbm::random(m, n, 0.1, &mut rng);
+            let mut want = got.clone();
+            let mut trainer = PcdTrainer::new(1, lr, p, &got, &mut rng);
+            for _ in 0..2 {
+                let phases = [
+                    binary(&mut rng, bs, n),
+                    binary(&mut rng, p, m),
+                    binary(&mut rng, p, n),
+                ];
+                let (want_recon, want_norm) = dense_step(lr, &mut want, &batch, &phases);
+                let v_neg = phases[1].clone();
+                let (got_recon, got_norm) = trainer.apply_gradients(&mut got, &batch, phases);
+                assert_eq!(got_recon.to_bits(), want_recon.to_bits(), "recon, bs {bs}");
+                assert_eq!(got_norm.to_bits(), want_norm.to_bits(), "norm, bs {bs}");
+                assert_eq!(trainer.particles(), &v_neg);
+            }
+            assert_eq!(rbm_bits(&got), rbm_bits(&want), "bs {bs}");
+        }
     }
 
     #[test]

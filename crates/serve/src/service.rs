@@ -586,7 +586,9 @@ impl SamplingService {
     ///
     /// # Errors
     ///
-    /// Same classes as [`SamplingService::submit`].
+    /// Same classes as [`SamplingService::submit`];
+    /// [`ServeError::InvalidRequest`] also when a data entry is not
+    /// finite or lies outside `[0, 1]`.
     pub fn submit_train(
         &self,
         request: TrainRequest,
@@ -606,6 +608,14 @@ impl SamplingService {
         if request.data.nrows() == 0 || request.batch_size == 0 || request.epochs == 0 {
             return Err(ServeError::InvalidRequest(
                 "training needs data rows, batch_size ≥ 1 and epochs ≥ 1".into(),
+            ));
+        }
+        // As for clamps: the substrate sees every level clamped into
+        // [0, 1], but the host gradient multiplies in the raw value, and
+        // a non-finite one would publish non-finite weights.
+        if request.data.iter().any(|&x| !(0.0..=1.0).contains(&x)) {
+            return Err(ServeError::InvalidRequest(
+                "training data must lie in [0, 1]".into(),
             ));
         }
         let (tx, rx) = mpsc::channel();

@@ -193,6 +193,29 @@ fn submit_validates_against_the_registry() {
 }
 
 #[test]
+fn training_data_outside_the_unit_interval_is_refused_and_publishes_nothing() {
+    let (rbm, proto) = fixture(8, 4);
+    let service = SamplingService::builder().shards(1).build();
+    service.register_model("m", rbm, proto).unwrap();
+    let data = |bad: f64| {
+        let mut data = Array2::from_shape_fn((4, 8), |(i, j)| f64::from((i + j) % 2 == 0));
+        data[[2, 5]] = bad;
+        TrainRequest::new("m", data).with_seed(3)
+    };
+    for bad in [f64::INFINITY, f64::NAN, 1.5, -0.5] {
+        assert!(
+            matches!(service.train(data(bad)), Err(ServeError::InvalidRequest(_))),
+            "{bad} accepted"
+        );
+        assert_eq!(service.registry().get("m").unwrap().version, 1, "{bad}");
+    }
+    // 0/1 data and gray data still train.
+    assert_eq!(service.train(data(1.0)).unwrap().new_version, 2);
+    assert_eq!(service.train(data(0.5)).unwrap().new_version, 3);
+    assert_eq!(service.stats().models["m"].train_requests, 2);
+}
+
+#[test]
 fn oversized_requests_are_invalid_not_backpressure() {
     // Heavier than the whole queue can ever hold: retrying would never
     // help, so this must be a validation error, not QueueFull.
