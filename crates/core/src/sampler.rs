@@ -238,15 +238,6 @@ impl AnalogSampler {
             };
         }
     }
-
-    /// Deterministic variant of the weight matrix under frozen variation:
-    /// helper re-exported for the accelerators.
-    pub fn apply_variation(
-        weights: &Array2<f64>,
-        variation: &ember_analog::VariationMap,
-    ) -> Array2<f64> {
-        variation.apply(weights)
-    }
 }
 
 impl Default for AnalogSampler {

@@ -171,11 +171,11 @@ impl SoftwareGibbs {
         };
         let var = noisy.then(|| {
             let sq_in = inputs.mapv(|x| x * x);
-            let sq_w = w.mapv(|w| w * w);
+            let sq_w = self.sq_weights.as_ref().expect("cached at program");
             if rev {
                 sq_in.dot(&sq_w.t())
             } else {
-                sq_in.dot(&sq_w)
+                sq_in.dot(sq_w)
             }
         });
         (fields, var)

@@ -114,6 +114,14 @@ fn a_cd1_epoch_allocates_only_its_velocity() {
     }
 }
 
+fn program(sub: &mut SoftwareGibbs, rbm: &Rbm) {
+    sub.program(
+        &rbm.weights().view(),
+        &rbm.visible_bias().view(),
+        &rbm.hidden_bias().view(),
+    );
+}
+
 #[test]
 fn programming_changed_weights_allocates_no_weight_sized_array() {
     for config in configs() {
@@ -121,15 +129,28 @@ fn programming_changed_weights_allocates_no_weight_sized_array() {
         let mut sub = SoftwareGibbs::new(M, N, &config, &mut rng);
         let before = Rbm::random(M, N, 0.1, &mut rng);
         let after = Rbm::random(M, N, 0.1, &mut rng);
-        let program = |sub: &mut SoftwareGibbs, rbm: &Rbm| {
-            sub.program(
-                &rbm.weights().view(),
-                &rbm.visible_bias().view(),
-                &rbm.hidden_bias().view(),
-            );
-        };
         program(&mut sub, &before);
         let allocs = weight_sized_allocs(|| program(&mut sub, &after));
         assert_eq!(allocs, 0, "weight-sized allocations in one program");
     }
+}
+
+#[test]
+fn a_noisy_gray_half_step_allocates_no_weight_sized_array() {
+    // Gray (multi-bit) levels take the dense product, whose coupler
+    // noise variance needs the squared weights that `program` caches.
+    let [_, noisy] = configs();
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut sub = SoftwareGibbs::new(M, N, &noisy, &mut rng);
+    program(&mut sub, &Rbm::random(M, N, 0.1, &mut rng));
+    let visible = Array2::from_shape_fn((16, M), |_| rng.random::<f64>());
+    let hidden = Array2::from_shape_fn((16, N), |_| rng.random::<f64>());
+    let allocs = weight_sized_allocs(|| {
+        sub.sample_hidden_batch(&visible, &mut rng);
+    });
+    assert_eq!(allocs, 0, "weight-sized allocations in a hidden half-step");
+    let allocs = weight_sized_allocs(|| {
+        sub.sample_visible_batch(&hidden, &mut rng);
+    });
+    assert_eq!(allocs, 0, "weight-sized allocations in a visible half-step");
 }

@@ -174,31 +174,36 @@ pub enum ReadOutcome {
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, bounded by
-/// [`MAX_LINE`].
-fn read_line<R: BufRead>(r: &mut R) -> io::Result<Result<String, ParseError>> {
+/// [`MAX_LINE`]. `None` when the stream ends before the line's first
+/// byte; a line the stream ends part-way through is malformed, so a
+/// peer that dies mid-message never has its fragment taken as a line.
+fn read_line<R: BufRead>(r: &mut R) -> io::Result<Result<Option<String>, ParseError>> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
-        match r.read(&mut byte)? {
-            0 => break,
-            _ => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Ok(Err(ParseError::TooLarge(format!(
-                        "line exceeds {MAX_LINE} bytes"
-                    ))));
-                }
+        if r.read(&mut byte)? == 0 {
+            if line.is_empty() {
+                return Ok(Ok(None));
             }
+            return Ok(Err(ParseError::Malformed(
+                "connection closed mid-line".into(),
+            )));
+        }
+        if byte[0] == b'\n' {
+            break;
+        }
+        line.push(byte[0]);
+        if line.len() > MAX_LINE {
+            return Ok(Err(ParseError::TooLarge(format!(
+                "line exceeds {MAX_LINE} bytes"
+            ))));
         }
     }
     if line.last() == Some(&b'\r') {
         line.pop();
     }
     match String::from_utf8(line) {
-        Ok(s) => Ok(Ok(s)),
+        Ok(s) => Ok(Ok(Some(s))),
         Err(_) => Ok(Err(ParseError::Malformed("non-UTF-8 header line".into()))),
     }
 }
@@ -208,7 +213,12 @@ fn read_headers<R: BufRead>(r: &mut R) -> io::Result<Result<Vec<(String, String)
     let mut headers = Vec::new();
     loop {
         let line = match read_line(r)? {
-            Ok(line) => line,
+            Ok(Some(line)) => line,
+            Ok(None) => {
+                return Ok(Err(ParseError::Malformed(
+                    "connection closed before the end of the head".into(),
+                )))
+            }
             Err(e) => return Ok(Err(e)),
         };
         if line.is_empty() {
@@ -304,12 +314,10 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<ReadOutcome> {
 /// As [`read_request`].
 pub fn read_request_limited<R: BufRead>(r: &mut R, max_body: usize) -> io::Result<ReadOutcome> {
     let line = match read_line(r)? {
-        Ok(line) => line,
+        Ok(Some(line)) if !line.is_empty() => line,
+        Ok(_) => return Ok(ReadOutcome::Closed),
         Err(e) => return Ok(ReadOutcome::Invalid(e)),
     };
-    if line.is_empty() {
-        return Ok(ReadOutcome::Closed);
-    }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -346,7 +354,7 @@ pub fn read_request_limited<R: BufRead>(r: &mut R, max_body: usize) -> io::Resul
 /// `io::Error::InvalidData`) on a malformed status line or headers.
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
     let invalid = |e: ParseError| io::Error::new(io::ErrorKind::InvalidData, e);
-    let line = read_line(r)?.map_err(invalid)?;
+    let line = read_line(r)?.map_err(invalid)?.unwrap_or_default();
     let mut parts = line.split_whitespace();
     let (Some(version), Some(code)) = (parts.next(), parts.next()) else {
         return Err(invalid(ParseError::Malformed(format!(
@@ -468,5 +476,16 @@ mod tests {
         assert_eq!(back.status, 429);
         assert_eq!(back.header("retry-after"), Some("2"));
         assert_eq!(back.body, b"{}");
+    }
+
+    #[test]
+    fn a_response_head_cut_short_is_invalid_data() {
+        for raw in [
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json".as_slice(),
+            b"HTTP/1.1 200 OK\r\n",
+        ] {
+            let err = read_response(&mut BufReader::new(raw)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

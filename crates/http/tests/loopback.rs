@@ -354,7 +354,7 @@ fn admission_rejection_maps_to_429_overloaded_with_hints() {
     // Nothing reached a shard; the rejection was at admission.
     let stats = client.stats().unwrap();
     assert_eq!(stats.admission_rejected, 1);
-    assert_eq!(stats.total_shed_requests(), 0);
+    assert_eq!(stats.total(|s| s.shed_requests), 0);
 
     server.shutdown(Duration::from_secs(10));
 }
@@ -415,7 +415,7 @@ fn train_over_http_publishes_a_version_sampled_by_later_requests() {
     assert_eq!(stats.shards.len(), 2);
     assert!(stats.models.contains_key("m"));
     assert_eq!(stats.models["m"].train_requests, 1);
-    assert!(stats.total_rows() >= 2);
+    assert!(stats.total(|s| s.rows) >= 2);
 
     server.shutdown(Duration::from_secs(10));
 }

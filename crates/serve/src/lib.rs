@@ -27,12 +27,18 @@
 //!   channels.
 //! * **request coalescing** — pending sample requests for the same
 //!   `(model, gibbs_steps)` key merge into one batched substrate call
-//!   ([`batch::sample_rows`]), the serving-side analogue of the paper's
-//!   per-minibatch operation list; per-row RNG streams make the
-//!   coalescing bit-invisible to every caller.
+//!   ([`batch::try_sample_rows`]; [`batch::sample_rows`] is its
+//!   infallible twin for offline callers), the serving-side analogue
+//!   of the paper's per-minibatch operation list; per-row RNG streams
+//!   make the coalescing bit-invisible to every caller. A group runs
+//!   one program → sample → retry path whether it is served by the
+//!   model's substrate or by its degraded fallback.
 //! * [`ServiceStats`] — per-shard and per-model
 //!   [`HardwareCounters`](ember_substrate::HardwareCounters)
-//!   aggregation, batch-size and backpressure accounting.
+//!   aggregation, batch-size and backpressure accounting; service-wide
+//!   figures are [`ServiceStats::total`] (one [`ShardStats`] field
+//!   summed over shards), [`ServiceStats::counters`] and
+//!   [`ServiceStats::latency`].
 //! * **self-healing** — the substrate is treated as fallible analog
 //!   hardware: faulted groups are *reprogrammed and retried* under a
 //!   deterministic [`RetryPolicy`](ember_core::RetryPolicy) (successful

@@ -1,6 +1,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -11,6 +11,7 @@ use ember_core::recovery::verify_programming;
 use ember_core::{GsConfig, RetryPolicy, SubstrateSpec};
 use ember_rbm::{Rbm, RngStreams};
 use ember_substrate::{HardwareCounters, ReplicableSubstrate, SubstrateFault};
+use ndarray::Array2;
 
 use crate::batch::{self, ChainRequest};
 use crate::registry::ModelSnapshot;
@@ -169,17 +170,16 @@ impl ServiceBuilder {
                 queued_rows: 0,
                 in_flight: 0,
                 lanes: std::array::from_fn(|_| VecDeque::new()),
-                controls: (0..self.shards).map(|_| Vec::new()).collect(),
+                inboxes: (0..self.shards).map(|_| Vec::new()).collect(),
             }),
             cv: Condvar::new(),
-            stats: Mutex::new(StatsInner {
-                shards: vec![ShardStats::default(); self.shards],
-                models: BTreeMap::new(),
-                rejected: 0,
-                admission_rejected: 0,
-                shed_bulk: 0,
+            ledger: Mutex::new(Ledger {
+                stats: ServiceStats {
+                    shards: vec![ShardStats::default(); self.shards],
+                    ..ServiceStats::default()
+                },
+                failures: HashMap::new(),
             }),
-            breakers: Mutex::new(BTreeMap::new()),
             prototypes: Mutex::new(HashMap::new()),
             queue_rows: self.queue_rows,
             max_coalesce_rows: self.max_coalesce_rows,
@@ -392,36 +392,10 @@ impl SamplingService {
         prototype: Box<dyn ReplicableSubstrate>,
     ) -> Result<u64, ServeError> {
         let name = name.into();
-        if prototype.visible_len() != rbm.visible_len()
-            || prototype.hidden_len() != rbm.hidden_len()
-        {
-            return Err(ServeError::InvalidRequest(format!(
-                "prototype is {}x{}, model `{name}` is {}x{}",
-                prototype.visible_len(),
-                prototype.hidden_len(),
-                rbm.visible_len(),
-                rbm.hidden_len(),
-            )));
-        }
-        // Deep-copying a replica per shard is expensive (weights +
-        // variation maps); do it before taking the service lock. One
-        // extra clone is retained for shard recovery.
-        let retained = prototype.clone_boxed();
-        let replicas = self.clone_per_shard(prototype);
-        let mut st = self.core.state.lock().expect("service lock");
-        if !st.open {
-            return Err(ServeError::ServiceClosed);
-        }
-        let version = self.registry.register(name.clone(), rbm)?;
-        self.core
-            .prototypes
-            .lock()
-            .expect("prototype lock")
-            .insert(name.clone(), retained);
-        Self::broadcast_replicas(&mut st, name, replicas);
-        drop(st);
-        self.core.cv.notify_all();
-        Ok(version)
+        check_prototype(&name, &rbm, &*prototype)?;
+        self.provision(name.clone(), prototype, || {
+            self.registry.register(name, rbm)
+        })
     }
 
     /// Provisions every shard with a replica of `prototype` for a model
@@ -446,32 +420,8 @@ impl SamplingService {
             .registry
             .get(&name)
             .ok_or_else(|| ServeError::ModelNotFound(name.clone()))?;
-        if prototype.visible_len() != snapshot.rbm.visible_len()
-            || prototype.hidden_len() != snapshot.rbm.hidden_len()
-        {
-            return Err(ServeError::InvalidRequest(format!(
-                "prototype is {}x{}, model `{name}` is {}x{}",
-                prototype.visible_len(),
-                prototype.hidden_len(),
-                snapshot.rbm.visible_len(),
-                snapshot.rbm.hidden_len(),
-            )));
-        }
-        let retained = prototype.clone_boxed();
-        let replicas = self.clone_per_shard(prototype);
-        let mut st = self.core.state.lock().expect("service lock");
-        if !st.open {
-            return Err(ServeError::ServiceClosed);
-        }
-        self.core
-            .prototypes
-            .lock()
-            .expect("prototype lock")
-            .insert(name.clone(), retained);
-        Self::broadcast_replicas(&mut st, name, replicas);
-        drop(st);
-        self.core.cv.notify_all();
-        Ok(())
+        check_prototype(&name, &snapshot.rbm, &*prototype)?;
+        self.provision(name, prototype, || Ok(()))
     }
 
     /// Republishes the retained parameters of `version` of `model` as a
@@ -490,35 +440,40 @@ impl SamplingService {
         self.registry.rollback(model, version)
     }
 
-    /// One replica per shard, cloned from `prototype` (which becomes the
-    /// last shard's replica). Runs outside any lock — the deep copies
-    /// depend on nothing but the prototype.
-    fn clone_per_shard(
+    /// Retains a clone of `prototype` for shard recovery and pushes one
+    /// replica of it into every shard inbox. `register` runs under the
+    /// queue lock, before the replicas are pushed, so registering and
+    /// provisioning are one step: no shard can see a request for the
+    /// model before its replica.
+    fn provision<T>(
         &self,
+        name: String,
         prototype: Box<dyn ReplicableSubstrate>,
-    ) -> Vec<Box<dyn ReplicableSubstrate>> {
-        let mut replicas: Vec<Box<dyn ReplicableSubstrate>> = (1..self.workers.len())
+        register: impl FnOnce() -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        // Deep-copying a replica per shard is expensive (weights +
+        // variation maps); do it before taking the service lock.
+        let retained = prototype.clone_boxed();
+        let mut replicas: Vec<_> = (1..self.workers.len())
             .map(|_| prototype.clone_boxed())
             .collect();
         replicas.push(prototype);
-        replicas
-    }
-
-    /// Pushes an `AddModel` control (with its pre-cloned replica) into
-    /// every shard inbox, under the queue lock so no shard can see a
-    /// request for the model before its replica.
-    fn broadcast_replicas(
-        st: &mut QueueState,
-        name: String,
-        replicas: Vec<Box<dyn ReplicableSubstrate>>,
-    ) {
-        debug_assert_eq!(replicas.len(), st.controls.len());
-        for (shard, replica) in replicas.into_iter().enumerate() {
-            st.controls[shard].push(Control::AddModel {
-                name: name.clone(),
-                replica,
-            });
+        let mut st = self.core.state.lock().expect("service lock");
+        if !st.open {
+            return Err(ServeError::ServiceClosed);
         }
+        let registered = register()?;
+        self.core
+            .prototypes
+            .lock()
+            .expect("prototype lock")
+            .insert(name.clone(), retained);
+        for (inbox, replica) in st.inboxes.iter_mut().zip(replicas) {
+            inbox.push((name.clone(), replica));
+        }
+        drop(st);
+        self.core.cv.notify_all();
+        Ok(registered)
     }
 
     /// Submits a sample request; returns immediately with a handle.
@@ -625,11 +580,7 @@ impl SamplingService {
             1,
             Priority::Bulk,
             None,
-            Queued::Train(QueuedTrain {
-                request,
-                reply: tx,
-                enqueued_at: Instant::now(),
-            }),
+            Queued::Train(QueuedTrain { request, reply: tx }),
         )?;
         Ok(ResponseHandle { rx })
     }
@@ -641,24 +592,7 @@ impl SamplingService {
 
     /// A consistent snapshot of the service's accounting.
     pub fn stats(&self) -> ServiceStats {
-        let inner = self.core.stats.lock().expect("stats lock");
-        let degraded = self
-            .core
-            .breakers
-            .lock()
-            .expect("breaker lock")
-            .iter()
-            .filter(|(_, b)| b.tripped)
-            .map(|(name, _)| name.clone())
-            .collect();
-        ServiceStats {
-            shards: inner.shards.clone(),
-            models: inner.models.clone(),
-            rejected: inner.rejected,
-            admission_rejected: inner.admission_rejected,
-            shed_bulk: inner.shed_bulk,
-            degraded,
-        }
+        self.core.ledger().stats.clone()
     }
 
     /// Graceful drain: closes the queue (new submissions fail with
@@ -740,7 +674,7 @@ impl SamplingService {
         // Measured per-row service rate, read before the queue lock (a
         // slightly stale estimate is fine; the lock order stays
         // state-free → stats-free).
-        let per_row = per_row_nanos(&self.core.stats.lock().expect("stats lock"));
+        let per_row = per_row_nanos(&self.core.ledger().stats);
         let mut st = self.core.state.lock().expect("service lock");
         if !st.open {
             return Err(ServeError::ServiceClosed);
@@ -760,11 +694,7 @@ impl SamplingService {
                 if now + projected > deadline {
                     let retry_after = drain_estimate(st.queued_rows, per_row, shards);
                     drop(st);
-                    self.core
-                        .stats
-                        .lock()
-                        .expect("stats lock")
-                        .admission_rejected += 1;
+                    self.core.ledger().stats.admission_rejected += 1;
                     return Err(ServeError::Overloaded { retry_after });
                 }
             }
@@ -790,17 +720,17 @@ impl SamplingService {
         if st.queued_rows + weight > self.core.queue_rows {
             let backlog_rows = st.queued_rows;
             drop(st);
-            let mut stats = self.core.stats.lock().expect("stats lock");
+            let stats = &mut self.core.ledger().stats;
             stats.rejected += 1;
             stats.shed_bulk += shed_bulk;
-            let retry_after = drain_estimate(backlog_rows, per_row_nanos(&stats), shards);
+            let retry_after = drain_estimate(backlog_rows, per_row_nanos(stats), shards);
             return Err(ServeError::QueueFull { retry_after });
         }
         st.queued_rows += weight;
         st.lanes[lane_index(priority)].push_back(item);
         drop(st);
         if shed_bulk > 0 {
-            self.core.stats.lock().expect("stats lock").shed_bulk += shed_bulk;
+            self.core.ledger().stats.shed_bulk += shed_bulk;
         }
         self.core.cv.notify_all();
         Ok(())
@@ -823,15 +753,31 @@ impl Drop for SamplingService {
     }
 }
 
+/// Refuses a prototype fabricated at another size than the model it is
+/// to serve.
+fn check_prototype(
+    name: &str,
+    rbm: &Rbm,
+    prototype: &dyn ReplicableSubstrate,
+) -> Result<(), ServeError> {
+    if prototype.visible_len() == rbm.visible_len() && prototype.hidden_len() == rbm.hidden_len() {
+        return Ok(());
+    }
+    Err(ServeError::InvalidRequest(format!(
+        "prototype is {}x{}, model `{name}` is {}x{}",
+        prototype.visible_len(),
+        prototype.hidden_len(),
+        rbm.visible_len(),
+        rbm.hidden_len(),
+    )))
+}
+
 /// Observed mean per-row service time in nanoseconds — the measured
 /// rate behind both the `retry_after` hints and admission control.
 /// Before any row has been served, assumes 1 ms/row; floored at 1 µs.
-fn per_row_nanos(stats: &StatsInner) -> u64 {
-    let (rows, busy) = stats
-        .shards
-        .iter()
-        .fold((0u64, 0u64), |(r, b), s| (r + s.rows, b + s.busy_nanos));
-    match busy.checked_div(rows) {
+fn per_row_nanos(stats: &ServiceStats) -> u64 {
+    let rows = stats.total(|s| s.rows);
+    match stats.total(|s| s.busy_nanos).checked_div(rows) {
         None => 1_000_000,
         Some(per_row) => per_row.max(1_000),
     }
@@ -903,6 +849,11 @@ pub struct ModelStats {
 /// A snapshot of the service's per-shard and per-model accounting —
 /// `Serialize` so the HTTP edge's `GET /v1/stats` emits it as JSON
 /// directly (and `Deserialize` so clients get the typed snapshot back).
+///
+/// Service-wide figures are sums over [`ServiceStats::shards`]:
+/// [`ServiceStats::total`] sums one [`ShardStats`] field,
+/// [`ServiceStats::counters`] merges the hardware counters and
+/// [`ServiceStats::latency`] the latency histograms.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct ServiceStats {
     /// One entry per worker shard.
@@ -926,110 +877,27 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Total chain rows sampled across shards.
-    pub fn total_rows(&self) -> u64 {
-        self.shards.iter().map(|s| s.rows).sum()
+    /// One [`ShardStats`] field summed over the shards:
+    /// `total(|s| s.rows)` is the chain rows sampled, and
+    /// `total(|s| s.rows) / total(|s| s.batches)` the realized
+    /// coalescing factor (1 means every request ran alone).
+    pub fn total(&self, field: impl Fn(&ShardStats) -> u64) -> u64 {
+        self.shards.iter().map(field).sum()
     }
 
-    /// Total batched kernel executions across shards.
-    pub fn total_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.batches).sum()
-    }
-
-    /// Mean rows per batched execution — the realized coalescing factor
-    /// (1.0 means every request ran alone).
-    pub fn mean_coalesced_rows(&self) -> f64 {
-        let batches = self.total_batches();
-        if batches == 0 {
-            0.0
-        } else {
-            self.total_rows() as f64 / batches as f64
+    /// Every shard's [`HardwareCounters`] merged: the service's fault
+    /// events ([`HardwareCounters::total_fault_events`]), recovery
+    /// retries, and the kernel mix. `packed_kernel_calls +
+    /// dense_kernel_calls` counts the kernel-served sampling calls;
+    /// `simd_kernel_calls` equals that sum on an AVX2/NEON host and is
+    /// 0 under `EMBER_FORCE_SCALAR`, the health check that a
+    /// deployment runs the fast tier.
+    pub fn counters(&self) -> HardwareCounters {
+        let mut merged = HardwareCounters::new();
+        for shard in &self.shards {
+            merged.merge(&shard.counters);
         }
-    }
-
-    /// Total sampling calls served by the bit-packed kernel, summed
-    /// over shards (see
-    /// [`HardwareCounters::packed_kernel_calls`]).
-    pub fn total_packed_kernel_calls(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.counters.packed_kernel_calls)
-            .sum()
-    }
-
-    /// Total sampling calls served by the dense/scalar fallback kernel,
-    /// summed over shards.
-    pub fn total_dense_kernel_calls(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.counters.dense_kernel_calls)
-            .sum()
-    }
-
-    /// Fraction of kernel-served sampling calls that ran bit-packed
-    /// (`0.0` when no sampling call has executed yet) — the
-    /// one-number health check that the serving hot path is actually
-    /// exercising the fast kernel.
-    pub fn packed_kernel_fraction(&self) -> f64 {
-        let packed = self.total_packed_kernel_calls();
-        let total = packed + self.total_dense_kernel_calls();
-        if total == 0 {
-            0.0
-        } else {
-            packed as f64 / total as f64
-        }
-    }
-
-    /// Total sampling calls whose inner field loops executed on a
-    /// vector SIMD tier (AVX2/NEON), summed over shards (see
-    /// [`HardwareCounters::simd_kernel_calls`]).
-    pub fn total_simd_kernel_calls(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.counters.simd_kernel_calls)
-            .sum()
-    }
-
-    /// Fraction of kernel-served sampling calls that ran on a vector
-    /// SIMD tier (`0.0` when no sampling call has executed yet) — the
-    /// deployment health check that this box is on the fast tier and
-    /// not silently running the scalar fallback (`1.0` on an AVX2/NEON
-    /// host, `0.0` under `EMBER_FORCE_SCALAR`).
-    pub fn simd_kernel_fraction(&self) -> f64 {
-        let total = self.total_packed_kernel_calls() + self.total_dense_kernel_calls();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_simd_kernel_calls() as f64 / total as f64
-        }
-    }
-
-    /// Total shard restarts (mid-request panics recovered by
-    /// re-provisioning).
-    pub fn total_restarts(&self) -> u64 {
-        self.shards.iter().map(|s| s.restarts).sum()
-    }
-
-    /// Total requests shed past their deadline.
-    pub fn total_shed_requests(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed_requests).sum()
-    }
-
-    /// Total substrate fault events observed across shards (hard
-    /// faults + corrupted programmings + corrupted reads).
-    pub fn total_fault_events(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.counters.total_fault_events())
-            .sum()
-    }
-
-    /// Total recovery retries executed across shards.
-    pub fn total_recovery_retries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.counters.recovery_retries)
-            .sum()
+        merged
     }
 
     /// Service-wide queue-to-answer latency: every shard's histogram
@@ -1050,9 +918,7 @@ impl ServiceStats {
 struct Core {
     state: Mutex<QueueState>,
     cv: Condvar,
-    stats: Mutex<StatsInner>,
-    /// Per-model circuit-breaker state.
-    breakers: Mutex<BTreeMap<String, Breaker>>,
+    ledger: Mutex<Ledger>,
     /// Retained prototype per model, for re-provisioning a restarted
     /// shard.
     prototypes: Mutex<HashMap<String, Box<dyn ReplicableSubstrate>>>,
@@ -1075,7 +941,26 @@ impl std::fmt::Debug for Core {
     }
 }
 
-#[derive(Debug)]
+impl Core {
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect("stats lock")
+    }
+}
+
+/// The service's accounting and its circuit breakers, under one lock.
+struct Ledger {
+    /// What [`SamplingService::stats`] returns. A tripped breaker lists
+    /// its model in `stats.degraded`, kept in name order.
+    stats: ServiceStats,
+    /// Consecutive retry-exhausted primary groups per model since its
+    /// last primary success.
+    failures: HashMap<String, u32>,
+}
+
+/// Models provisioned for one shard (name and replica), drained by the
+/// shard before it takes new work.
+type Inbox = Vec<(String, Box<dyn ReplicableSubstrate>)>;
+
 struct QueueState {
     open: bool,
     queued_rows: usize,
@@ -1085,34 +970,8 @@ struct QueueState {
     /// One FIFO lane per [`Priority`], drained Interactive-first
     /// (`LANE_INTERACTIVE` / `LANE_BULK`).
     lanes: [VecDeque<Queued>; LANES],
-    /// Per-shard control inboxes (model provisioning), drained by a
-    /// shard before it takes new work.
-    controls: Vec<Vec<Control>>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Breaker {
-    consecutive_failures: u32,
-    tripped: bool,
-}
-
-enum Control {
-    AddModel {
-        name: String,
-        replica: Box<dyn ReplicableSubstrate>,
-    },
-}
-
-impl std::fmt::Debug for Control {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Control::AddModel { name, replica } => f
-                .debug_struct("AddModel")
-                .field("name", name)
-                .field("backend", &replica.name())
-                .finish(),
-        }
-    }
+    /// One inbox per shard.
+    inboxes: Vec<Inbox>,
 }
 
 #[derive(Debug)]
@@ -1157,21 +1016,10 @@ struct QueuedSample {
 struct QueuedTrain {
     request: TrainRequest,
     reply: mpsc::Sender<Result<TrainResponse, ServeError>>,
-    #[allow(dead_code)]
-    enqueued_at: Instant,
-}
-
-#[derive(Debug)]
-struct StatsInner {
-    shards: Vec<ShardStats>,
-    models: BTreeMap<String, ModelStats>,
-    rejected: u64,
-    admission_rejected: u64,
-    shed_bulk: u64,
 }
 
 enum Work {
-    Controls(Vec<Control>),
+    Provision(Inbox),
     Sample(Vec<QueuedSample>),
     Train(QueuedTrain),
     Exit,
@@ -1245,6 +1093,42 @@ impl Programmed {
         }
         Ok(())
     }
+
+    /// Runs one coalesced group: programs the snapshot, samples `rows`
+    /// through the fallible seam ([`batch::try_sample_rows`]) and, after
+    /// a fault, re-programs and re-samples under `policy` — the volatile
+    /// couplings are assumed disturbed, and the chains restart from
+    /// their seeds, so a successful retry is bit-identical to a
+    /// fault-free run. Returns the outcome and the counters the group
+    /// spent, retries included.
+    fn run(
+        &mut self,
+        snapshot: &ModelSnapshot,
+        rows: &[ChainRequest],
+        gibbs_steps: usize,
+        policy: &RetryPolicy,
+        backoff_rng: &mut StdRng,
+    ) -> (Result<Array2<f64>, SubstrateFault>, HardwareCounters) {
+        let before = *self.substrate.counters();
+        let mut retries = 0u32;
+        let outcome = loop {
+            let attempt = self
+                .program(snapshot)
+                .and_then(|()| batch::try_sample_rows(&mut *self.substrate, rows, gibbs_steps));
+            let fault = match attempt {
+                Ok(samples) => break Ok(samples),
+                Err(fault) => fault,
+            };
+            self.holds = None;
+            if retries >= policy.max_retries {
+                break Err(fault);
+            }
+            retries += 1;
+            self.substrate.counters_mut().recovery_retries += 1;
+            std::thread::sleep(policy.backoff(retries, backoff_rng));
+        };
+        (outcome, self.substrate.counters().delta_since(&before))
+    }
 }
 
 /// One forward pass over `lane` (O(n), done while holding the service
@@ -1282,12 +1166,12 @@ fn gather_same_key(
     *lane = kept;
 }
 
-/// Blocks until this shard has work: control messages first, then the
-/// head of the highest-priority non-empty lane (Interactive before
-/// Bulk) — coalesced with every pending same-`(model, gibbs_steps)`
-/// sample request *in the same lane* up to the row bound — then
-/// shutdown once the lanes are drained. Taken work is counted in-flight
-/// until [`finish_work`].
+/// Blocks until this shard has work: its inbox first, then the head of
+/// the highest-priority non-empty lane (Interactive before Bulk) —
+/// coalesced with every pending same-`(model, gibbs_steps)` sample
+/// request *in the same lane* up to the row bound — then shutdown once
+/// the lanes are drained. Taken work is counted in-flight until
+/// [`finish_work`].
 ///
 /// With a non-zero [`ServiceBuilder::coalesce_window`], a group that is
 /// not yet full lingers on the condvar gathering late-arriving
@@ -1295,12 +1179,13 @@ fn gather_same_key(
 /// enqueue) runs out. The wait is cut short the moment the group fills,
 /// the service closes, any member's deadline approaches, or — for a
 /// Bulk group — Interactive work arrives (no priority inversion behind
-/// a lingering Bulk batch).
+/// a lingering Bulk batch). A zero window has run out at the first
+/// gather.
 fn next_work(core: &Core, shard: usize) -> Work {
     let mut st = core.state.lock().expect("service lock");
     loop {
-        if !st.controls[shard].is_empty() {
-            return Work::Controls(std::mem::take(&mut st.controls[shard]));
+        if !st.inboxes[shard].is_empty() {
+            return Work::Provision(std::mem::take(&mut st.inboxes[shard]));
         }
         let lane_idx = if st.lanes[LANE_INTERACTIVE].is_empty() {
             LANE_BULK
@@ -1316,11 +1201,15 @@ fn next_work(core: &Core, shard: usize) -> Work {
             Some(Queued::Sample(first)) => {
                 let mut rows = first.request.n_samples.max(1);
                 st.queued_rows -= rows;
+                st.in_flight += 1;
                 let key_model = first.request.model.clone();
                 let key_steps = first.request.gibbs_steps;
+                // Dispatch at the earliest of: the window out (from the
+                // oldest member's enqueue) or any member's deadline.
+                let mut wake = first.enqueued_at + core.coalesce_window;
                 let mut members = vec![first];
-                st.in_flight += 1;
-                {
+                let mut folded = 0;
+                loop {
                     let state = &mut *st;
                     gather_same_key(
                         &mut state.lanes[lane_idx],
@@ -1331,51 +1220,26 @@ fn next_work(core: &Core, shard: usize) -> Work {
                         &mut rows,
                         &mut members,
                     );
-                }
-                if core.coalesce_window > Duration::ZERO && rows < core.max_coalesce_rows {
-                    // Earliest of: window out (from the oldest
-                    // member's enqueue) or any member's deadline.
-                    let mut wake = members[0].enqueued_at + core.coalesce_window;
-                    for m in &members {
+                    for m in &members[folded..] {
                         if let Some(d) = m.request.deadline {
                             wake = wake.min(d);
                         }
                     }
-                    loop {
-                        if rows >= core.max_coalesce_rows || !st.open {
-                            break;
-                        }
-                        if lane_idx == LANE_BULK && !st.lanes[LANE_INTERACTIVE].is_empty() {
-                            break;
-                        }
-                        let now = Instant::now();
-                        if now >= wake {
-                            break;
-                        }
-                        let (guard, _) =
-                            core.cv.wait_timeout(st, wake - now).expect("service lock");
-                        st = guard;
-                        let before = members.len();
-                        {
-                            let state = &mut *st;
-                            gather_same_key(
-                                &mut state.lanes[lane_idx],
-                                &mut state.queued_rows,
-                                &key_model,
-                                key_steps,
-                                core.max_coalesce_rows,
-                                &mut rows,
-                                &mut members,
-                            );
-                        }
-                        for m in &members[before..] {
-                            if let Some(d) = m.request.deadline {
-                                wake = wake.min(d);
-                            }
-                        }
+                    folded = members.len();
+                    let now = Instant::now();
+                    if rows >= core.max_coalesce_rows
+                        || !st.open
+                        || (lane_idx == LANE_BULK && !st.lanes[LANE_INTERACTIVE].is_empty())
+                        || now >= wake
+                    {
+                        return Work::Sample(members);
                     }
+                    st = core
+                        .cv
+                        .wait_timeout(st, wake - now)
+                        .expect("service lock")
+                        .0;
                 }
-                return Work::Sample(members);
             }
             None => {
                 if !st.open {
@@ -1396,16 +1260,10 @@ fn finish_work(core: &Core) {
     core.cv.notify_all();
 }
 
-/// The shard worker: drains controls, serves coalesced sample groups and
-/// training jobs until shutdown. `lane` is this shard's deterministic
-/// RNG-stream family, consumed (one stream per event) to seed requests
-/// submitted without an explicit seed.
-///
-/// Every request executes under `catch_unwind`: a panic mid-group
-/// answers all members with [`ServeError::ShardRestarted`] (no caller is
-/// ever left hanging on a dropped reply channel) and the shard
-/// re-provisions its replicas from the retained prototypes before
-/// taking the next job.
+/// The shard worker: drains its inbox, serves coalesced sample groups
+/// and training jobs until shutdown. `lane` is this shard's
+/// deterministic RNG-stream family, consumed (one stream per event) to
+/// seed requests submitted without an explicit seed.
 fn run_shard(core: &Core, registry: &ModelRegistry, shard: usize, lane: RngStreams) {
     let mut replicas: HashMap<String, Replica> = HashMap::new();
     // Backoff jitter draws from a dedicated stream far outside the
@@ -1421,85 +1279,72 @@ fn run_shard(core: &Core, registry: &ModelRegistry, shard: usize, lane: RngStrea
     loop {
         match next_work(core, shard) {
             Work::Exit => return,
-            Work::Controls(controls) => {
-                for Control::AddModel { name, replica } in controls {
+            Work::Provision(inbox) => {
+                for (name, replica) in inbox {
                     replicas.insert(name, Replica::new(replica));
                 }
             }
             Work::Sample(members) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let replies = supervised(core, registry, shard, &mut replicas, |replicas| {
                     serve_sample_group(
                         core,
                         registry,
                         shard,
-                        &mut replicas,
+                        replicas,
                         &members,
                         &mut lane_seed,
                         &mut backoff_rng,
                     )
-                }));
-                match outcome {
-                    Ok(replies) => {
-                        debug_assert_eq!(replies.len(), members.len());
-                        for (member, reply) in members.iter().zip(replies) {
-                            let _ = member.reply.send(reply);
-                        }
-                    }
-                    Err(_) => {
-                        for member in &members {
-                            let _ = member.reply.send(Err(ServeError::ShardRestarted { shard }));
-                        }
-                        restart_shard(core, registry, shard, &mut replicas);
-                    }
+                })
+                .unwrap_or_else(|| {
+                    members
+                        .iter()
+                        .map(|_| Err(ServeError::ShardRestarted { shard }))
+                        .collect()
+                });
+                debug_assert_eq!(replies.len(), members.len());
+                for (member, reply) in members.iter().zip(replies) {
+                    let _ = member.reply.send(reply);
                 }
                 finish_work(core);
             }
-            Work::Train(QueuedTrain { request, reply, .. }) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    serve_train(
-                        core,
-                        registry,
-                        shard,
-                        &mut replicas,
-                        &request,
-                        &mut lane_seed,
-                    )
-                }));
-                match outcome {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(_) => {
-                        let _ = reply.send(Err(ServeError::ShardRestarted { shard }));
-                        restart_shard(core, registry, shard, &mut replicas);
-                    }
-                }
+            Work::Train(QueuedTrain { request, reply }) => {
+                let result = supervised(core, registry, shard, &mut replicas, |replicas| {
+                    serve_train(core, registry, shard, replicas, &request, &mut lane_seed)
+                })
+                .unwrap_or(Err(ServeError::ShardRestarted { shard }));
+                let _ = reply.send(result);
                 finish_work(core);
             }
         }
     }
 }
 
-/// Rebuilds a shard's replica set after a mid-request panic: every
-/// registered model gets a fresh clone of its retained prototype. The
-/// poisoned replicas (whatever state the panic left them in) are
-/// dropped wholesale.
-fn restart_shard(
+/// Runs one request on this shard's replicas under `catch_unwind`. A
+/// panic drops the replicas wholesale (whatever state the panic left
+/// them in), re-provisions every registered model from its retained
+/// prototype, counts the restart and returns `None`: the caller answers
+/// every member with [`ServeError::ShardRestarted`], so nobody hangs on
+/// a dropped reply channel, and a caller that reads the stats after
+/// that answer already sees the restart.
+fn supervised<T>(
     core: &Core,
     registry: &ModelRegistry,
     shard: usize,
     replicas: &mut HashMap<String, Replica>,
-) {
+    f: impl FnOnce(&mut HashMap<String, Replica>) -> T,
+) -> Option<T> {
+    if let Ok(value) = catch_unwind(AssertUnwindSafe(|| f(replicas))) {
+        return Some(value);
+    }
     replicas.clear();
-    {
-        let prototypes = core.prototypes.lock().expect("prototype lock");
-        for (name, prototype) in prototypes.iter() {
-            if registry.get(name).is_some() {
-                replicas.insert(name.clone(), Replica::new(prototype.clone_boxed()));
-            }
+    for (name, prototype) in core.prototypes.lock().expect("prototype lock").iter() {
+        if registry.get(name).is_some() {
+            replicas.insert(name.clone(), Replica::new(prototype.clone_boxed()));
         }
     }
-    core.stats.lock().expect("stats lock").shards[shard].restarts += 1;
+    core.ledger().stats.shards[shard].restarts += 1;
+    None
 }
 
 /// The degraded-service substrate: a `SoftwareGibbs` fabricated
@@ -1563,7 +1408,7 @@ fn serve_sample_group(
     }
     let shed = (members.len() - live.len()) as u64;
     if live.is_empty() {
-        core.stats.lock().expect("stats lock").shards[shard].shed_requests += shed;
+        core.ledger().stats.shards[shard].shed_requests += shed;
         return replies
             .into_iter()
             .map(|r| r.expect("every member shed"))
@@ -1580,101 +1425,67 @@ fn serve_sample_group(
         ranges.push((start, rows.len()));
     }
 
-    let degraded = core
-        .breakers
-        .lock()
-        .expect("breaker lock")
-        .get(&model)
-        .map(|b| b.tripped)
-        .unwrap_or(false);
-
-    let (outcome, delta, retries) = if degraded {
-        // Circuit broken: serve from the deterministic software
-        // fallback. Volatile-weights discipline still applies — program
-        // it for this group from the current snapshot, and charge the
-        // group for it as a primary group is charged.
-        let fallback = replica
+    // Circuit broken: serve from the deterministic software fallback,
+    // programmed and charged per group as the primary is. Its seam never
+    // faults, so the retry loop never runs for it.
+    let degraded = core.ledger().stats.degraded.binary_search(&model).is_ok();
+    let programmed = if degraded {
+        replica
             .fallback
-            .get_or_insert_with(|| Programmed::new(fabricate_fallback(&model, &snapshot)));
-        let before = *fallback.substrate.counters();
-        fallback
-            .program(&snapshot)
-            .expect("the software fallback never faults");
-        let samples = batch::sample_rows(&mut *fallback.substrate, &rows, gibbs_steps);
-        let delta = fallback.substrate.counters().delta_since(&before);
-        (Ok(samples), delta, 0u32)
+            .get_or_insert_with(|| Programmed::new(fabricate_fallback(&model, &snapshot)))
     } else {
-        let primary = &mut replica.primary;
-        let before = *primary.substrate.counters();
-        let mut retries = 0u32;
-        let outcome = loop {
-            // §3.2 steps 1–2, once per coalesced group — through the
-            // fallible seam, with readback verification. After any
-            // fault the volatile couplings are assumed disturbed, so a
-            // retry re-programs before it re-samples.
-            let attempt = primary
-                .program(&snapshot)
-                .and_then(|()| batch::try_sample_rows(&mut *primary.substrate, &rows, gibbs_steps));
-            let fault = match attempt {
-                Ok(samples) => break Ok(samples),
-                Err(fault) => fault,
-            };
-            primary.holds = None;
-            if retries >= core.retry_policy.max_retries {
-                break Err(fault);
-            }
-            retries += 1;
-            primary.substrate.counters_mut().recovery_retries += 1;
-            std::thread::sleep(core.retry_policy.backoff(retries, backoff_rng));
-        };
-        let delta = primary.substrate.counters().delta_since(&before);
-
-        // Breaker bookkeeping: consecutive exhausted groups trip the
-        // model into degraded (fallback) service; any primary success
-        // resets the count.
-        let mut breakers = core.breakers.lock().expect("breaker lock");
-        let breaker = breakers.entry(model.clone()).or_default();
-        match &outcome {
-            Ok(_) => breaker.consecutive_failures = 0,
-            Err(_) => {
-                breaker.consecutive_failures += 1;
-                if breaker.consecutive_failures >= core.breaker_threshold {
-                    breaker.tripped = true;
-                }
-            }
-        }
-        drop(breakers);
-        (outcome, delta, retries)
+        &mut replica.primary
     };
+    let (outcome, delta) = programmed.run(
+        &snapshot,
+        &rows,
+        gibbs_steps,
+        &core.retry_policy,
+        backoff_rng,
+    );
 
     // Account first, reply second: once a caller holds its response,
     // `SamplingService::stats` already reflects the work it paid for.
     {
-        let mut stats = core.stats.lock().expect("stats lock");
-        {
-            let shard_stats = &mut stats.shards[shard];
-            shard_stats.shed_requests += shed;
-            shard_stats.busy_nanos += started.elapsed().as_nanos() as u64;
-            shard_stats.counters.merge(&delta);
+        let mut ledger = core.ledger();
+        let Ledger { stats, failures } = &mut *ledger;
+        // Breaker bookkeeping (primary groups only): consecutive
+        // exhausted groups trip the model into degraded service; any
+        // primary success resets the count.
+        if !degraded {
             if outcome.is_ok() {
-                shard_stats.sample_requests += live.len() as u64;
-                shard_stats.rows += rows.len() as u64;
-                shard_stats.batches += 1;
-                shard_stats.largest_batch = shard_stats.largest_batch.max(rows.len() as u64);
-                // Queue-to-answer latency of every member about to get
-                // a successful reply (the histogram describes accepted
-                // requests only).
-                let answered = Instant::now();
-                for &i in &live {
-                    shard_stats
-                        .latency
-                        .record(answered.saturating_duration_since(members[i].enqueued_at));
+                failures.remove(&model);
+            } else {
+                let count = failures.entry(model.clone()).or_default();
+                *count += 1;
+                if *count >= core.breaker_threshold {
+                    if let Err(at) = stats.degraded.binary_search(&model) {
+                        stats.degraded.insert(at, model.clone());
+                    }
                 }
+            }
+        }
+        let shard_stats = &mut stats.shards[shard];
+        shard_stats.shed_requests += shed;
+        shard_stats.busy_nanos += started.elapsed().as_nanos() as u64;
+        shard_stats.counters.merge(&delta);
+        if outcome.is_ok() {
+            shard_stats.sample_requests += live.len() as u64;
+            shard_stats.rows += rows.len() as u64;
+            shard_stats.batches += 1;
+            shard_stats.largest_batch = shard_stats.largest_batch.max(rows.len() as u64);
+            // Queue-to-answer latency of every member about to get a
+            // successful reply (the histogram describes accepted
+            // requests only).
+            let answered = Instant::now();
+            for &i in &live {
+                shard_stats
+                    .latency
+                    .record(answered.saturating_duration_since(members[i].enqueued_at));
             }
         }
         let model_stats = stats.models.entry(model.clone()).or_default();
         model_stats.counters.merge(&delta);
-        let _ = retries; // retries are visible via counters.recovery_retries
         if outcome.is_ok() {
             model_stats.sample_requests += live.len() as u64;
             model_stats.rows += rows.len() as u64;
@@ -1766,13 +1577,10 @@ fn serve_train(
         });
 
     {
-        let mut service_stats = core.stats.lock().expect("stats lock");
-        service_stats.shards[shard].train_requests += 1;
-        service_stats.shards[shard].counters.merge(&delta);
-        let model_stats = service_stats
-            .models
-            .entry(request.model.clone())
-            .or_default();
+        let stats = &mut core.ledger().stats;
+        stats.shards[shard].train_requests += 1;
+        stats.shards[shard].counters.merge(&delta);
+        let model_stats = stats.models.entry(request.model.clone()).or_default();
         model_stats.train_requests += 1;
         model_stats.counters.merge(&delta);
     }

@@ -132,11 +132,11 @@ fn heavy_faults_are_absorbed_and_counted() {
     }
     let stats = service.stats();
     assert!(
-        stats.total_fault_events() > 0,
+        stats.counters().total_fault_events() > 0,
         "a 5% schedule over 20 requests must inject something"
     );
     assert!(
-        stats.total_recovery_retries() > 0,
+        stats.counters().recovery_retries > 0,
         "absorbed faults must be visible as recovery retries"
     );
     assert!(stats.degraded.is_empty(), "no breaker should trip");
@@ -201,7 +201,7 @@ fn expired_deadlines_are_shed_without_substrate_work() {
         .submit(request(0).with_deadline(Instant::now() - Duration::from_millis(1)))
         .unwrap();
     assert!(matches!(doomed.wait(), Err(ServeError::DeadlineExceeded)));
-    assert_eq!(service.stats().total_shed_requests(), 1);
+    assert_eq!(service.stats().total(|s| s.shed_requests), 1);
 
     // An undated request right behind it is unaffected.
     let resp = service.sample(request(1)).unwrap();

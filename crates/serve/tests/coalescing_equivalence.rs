@@ -90,7 +90,7 @@ fn check_backend(spec: SubstrateSpec, shard_counts: &[usize]) {
             );
         }
         let stats = service.stats();
-        assert_eq!(stats.total_rows(), n_requests as u64);
+        assert_eq!(stats.total(|s| s.rows), n_requests as u64);
         assert_eq!(stats.models["m"].sample_requests, n_requests as u64);
     }
 }

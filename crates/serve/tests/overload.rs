@@ -314,7 +314,7 @@ fn overload_flood_sheds_bulk_first_with_exact_accounting_and_identical_bits() {
         assert_eq!(stats.shed_bulk, 6, "{shards} shards");
         assert_eq!(stats.rejected, 0, "{shards} shards");
         assert_eq!(stats.admission_rejected, 0, "{shards} shards");
-        assert_eq!(stats.total_shed_requests(), 0, "{shards} shards");
+        assert_eq!(stats.total(|s| s.shed_requests), 0, "{shards} shards");
         let accepted: u64 = stats.shards.iter().map(|s| s.sample_requests).sum();
         assert_eq!(accepted, shards as u64 + 8, "{shards} shards");
         // The histograms saw exactly the accepted requests.

@@ -2,18 +2,82 @@
 //! deadlock), coalescing under load, training-through-the-service with
 //! version publication, and validation errors.
 
+use std::sync::{Arc, Condvar, Mutex};
+
 use ember_core::{GsConfig, SubstrateSpec};
 use ember_rbm::{CdTrainer, Rbm};
 use ember_serve::{SampleRequest, SamplingService, ServeError, TrainRequest};
-use ndarray::Array2;
+use ember_substrate::{HardwareCounters, ReplicableSubstrate, Side, Substrate};
+use ndarray::{Array2, ArrayView1, ArrayView2};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
-fn fixture(m: usize, n: usize) -> (Rbm, Box<dyn ember_substrate::ReplicableSubstrate>) {
+fn fixture(m: usize, n: usize) -> (Rbm, Box<dyn ReplicableSubstrate>) {
     let mut rng = StdRng::seed_from_u64(4);
     let rbm = Rbm::random(m, n, 0.3, &mut rng);
     let proto = SubstrateSpec::software(GsConfig::default()).fabricate(m, n, &mut rng);
     (rbm, proto)
+}
+
+/// A gate that a test opens once: until then, every [`Gated`] sampling
+/// call blocks.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn open(&self) {
+        *self.0 .0.lock().unwrap() = true;
+        self.0 .1.notify_all();
+    }
+
+    fn pass(&self) {
+        let (open, cv) = &*self.0;
+        let _open = cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap();
+    }
+}
+
+/// A substrate whose sampling waits on a [`Gate`]: it pins a shard on
+/// its first sampling call for as long as the test needs. Its per-row
+/// reads are the trait's default, one gated `sample_batch` per row.
+#[derive(Clone)]
+struct Gated {
+    inner: Box<dyn ReplicableSubstrate>,
+    gate: Gate,
+}
+
+impl Substrate for Gated {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn visible_len(&self) -> usize {
+        self.inner.visible_len()
+    }
+    fn hidden_len(&self) -> usize {
+        self.inner.hidden_len()
+    }
+    fn program(
+        &mut self,
+        weights: &ArrayView2<'_, f64>,
+        visible_bias: &ArrayView1<'_, f64>,
+        hidden_bias: &ArrayView1<'_, f64>,
+    ) {
+        self.inner.program(weights, visible_bias, hidden_bias);
+    }
+    fn sample_batch(
+        &mut self,
+        side: Side,
+        clamp: &Array2<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Array2<f64> {
+        self.gate.pass();
+        self.inner.sample_batch(side, clamp, rng)
+    }
+    fn counters(&self) -> &HardwareCounters {
+        self.inner.counters()
+    }
+    fn counters_mut(&mut self) -> &mut HardwareCounters {
+        self.inner.counters_mut()
+    }
 }
 
 /// A request slow enough (many steps on a mid-size model) to pin a shard
@@ -62,11 +126,18 @@ fn bounded_queue_rejects_rather_than_deadlocks_when_full() {
 #[test]
 fn pending_same_key_requests_coalesce_into_one_batch() {
     let (rbm, proto) = fixture(64, 32);
+    let gate = Gate::default();
+    let gated = Gated {
+        inner: proto,
+        gate: gate.clone(),
+    };
     let service = SamplingService::builder().shards(1).queue_rows(256).build();
-    service.register_model("m", rbm, proto).unwrap();
+    service.register_model("m", rbm, Box::new(gated)).unwrap();
 
-    // Pin the shard, then queue 16 fast same-key requests: when the
-    // shard frees up it must take them as one coalesced batch.
+    // Pin the shard behind the closed gate, then queue 16 fast
+    // same-key requests: when the shard frees up it must take them as
+    // one coalesced batch. The slow request is the queue head, and its
+    // key differs, so whenever the shard pops it, it runs alone.
     let slow = service.submit(slow_request(1)).unwrap();
     let fast: Vec<_> = (0..16)
         .map(|i| {
@@ -79,6 +150,7 @@ fn pending_same_key_requests_coalesce_into_one_batch() {
                 .unwrap()
         })
         .collect();
+    gate.open();
     slow.wait().unwrap();
     for handle in fast {
         let resp = handle.wait().unwrap();
@@ -86,8 +158,8 @@ fn pending_same_key_requests_coalesce_into_one_batch() {
     }
     let stats = service.stats();
     assert_eq!(stats.shards[0].largest_batch, 16);
-    assert_eq!(stats.total_batches(), 2); // the slow one + the coalesced one
-    assert!(stats.mean_coalesced_rows() > 8.0);
+    assert_eq!(stats.total(|s| s.batches), 2); // the slow one + the coalesced one
+    assert!(stats.total(|s| s.rows) > 8 * stats.total(|s| s.batches));
 }
 
 #[test]
@@ -108,7 +180,7 @@ fn disabling_coalescing_serves_request_at_a_time() {
     for handle in handles {
         assert_eq!(handle.wait().unwrap().coalesced_rows, 1);
     }
-    assert_eq!(service.stats().total_batches(), 8);
+    assert_eq!(service.stats().total(|s| s.batches), 8);
 }
 
 #[test]
@@ -335,7 +407,7 @@ fn mixed_model_traffic_keeps_per_model_accounting() {
     let stats = service.stats();
     assert_eq!(stats.models["a"].sample_requests, 6);
     assert_eq!(stats.models["b"].sample_requests, 6);
-    assert_eq!(stats.total_rows(), 12);
+    assert_eq!(stats.total(|s| s.rows), 12);
 }
 
 #[test]
@@ -358,9 +430,8 @@ fn serving_binary_traffic_runs_on_the_packed_kernel() {
         handle.wait().unwrap();
     }
     let stats = service.stats();
-    assert!(stats.total_packed_kernel_calls() > 0);
-    assert_eq!(stats.total_dense_kernel_calls(), 0);
-    assert_eq!(stats.packed_kernel_fraction(), 1.0);
+    assert!(stats.counters().packed_kernel_calls > 0);
+    assert_eq!(stats.counters().dense_kernel_calls, 0);
     // The per-response counter delta carries the same attribution.
     let resp = service
         .sample(SampleRequest::new("m").with_seed(99))
@@ -408,7 +479,7 @@ fn panicking_request_does_not_hang_its_neighbors() {
         assert_eq!(resp.samples.nrows(), 1);
     }
     let stats = service.stats();
-    assert_eq!(stats.total_restarts(), 1, "exactly one recovery");
+    assert_eq!(stats.total(|s| s.restarts), 1, "exactly one recovery");
     // The restarted shard serves resubmissions immediately.
     let resubmitted = service
         .sample(SampleRequest::new("m").with_seed(0))

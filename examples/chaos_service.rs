@@ -123,21 +123,25 @@ fn main() {
 
     let stats = service.stats();
     println!("== fault & recovery accounting ==");
-    println!("  substrate fault events   {}", stats.total_fault_events());
+    let counters = stats.counters();
     println!(
-        "  recovery retries         {}",
-        stats.total_recovery_retries()
+        "  substrate fault events   {}",
+        counters.total_fault_events()
     );
-    println!("  shard restarts           {}", stats.total_restarts());
-    println!("  shed (past deadline)     {}", stats.total_shed_requests());
+    println!("  recovery retries         {}", counters.recovery_retries);
+    println!("  shard restarts           {}", stats.total(|s| s.restarts));
+    println!(
+        "  shed (past deadline)     {}",
+        stats.total(|s| s.shed_requests)
+    );
     println!("  rejected (backpressure)  {}", stats.rejected);
     println!("  degraded models          {:?}", stats.degraded);
     println!(
         "  kernel tier              {} ({} simd / {} packed / {} dense calls)",
         ember::kernels::active_tier().name(),
-        stats.total_simd_kernel_calls(),
-        stats.total_packed_kernel_calls(),
-        stats.total_dense_kernel_calls()
+        counters.simd_kernel_calls,
+        counters.packed_kernel_calls,
+        counters.dense_kernel_calls
     );
     for (name, model) in &stats.models {
         println!(

@@ -184,9 +184,9 @@ fn main() {
     println!(
         "  {} shards, {} rows sampled, {} rejected, {} shed",
         stats.shards.len(),
-        stats.total_rows(),
+        stats.total(|s| s.rows),
         stats.rejected,
-        stats.total_shed_requests()
+        stats.total(|s| s.shed_requests)
     );
     for (name, model) in &stats.models {
         println!(

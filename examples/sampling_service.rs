@@ -138,21 +138,23 @@ fn main() {
             m.counters.host_words_transferred
         );
     }
+    let batches = stats.total(|s| s.batches);
     println!(
-        "\ncoalescing factor: {:.2} rows/batch over {} batches ({} rejected)",
-        stats.mean_coalesced_rows(),
-        stats.total_batches(),
+        "\ncoalescing factor: {:.2} rows/batch over {batches} batches ({} rejected)",
+        stats.total(|s| s.rows) as f64 / batches.max(1) as f64,
         stats.rejected
     );
+    let counters = stats.counters();
+    let kernel_calls = (counters.packed_kernel_calls + counters.dense_kernel_calls).max(1) as f64;
     println!(
         "kernel mix: {:.0}% of sampling calls bit-packed ({} packed / {} dense)",
-        100.0 * stats.packed_kernel_fraction(),
-        stats.total_packed_kernel_calls(),
-        stats.total_dense_kernel_calls()
+        100.0 * counters.packed_kernel_calls as f64 / kernel_calls,
+        counters.packed_kernel_calls,
+        counters.dense_kernel_calls
     );
     println!(
         "kernel tier: {} ({:.0}% of sampling calls on a vector SIMD tier)",
         ember::kernels::active_tier().name(),
-        100.0 * stats.simd_kernel_fraction(),
+        100.0 * counters.simd_kernel_calls as f64 / kernel_calls,
     );
 }

@@ -363,9 +363,9 @@
 //! * `HardwareCounters::simd_kernel_calls` counts sampling calls whose
 //!   inner loops ran on a vector tier (on such a tier it equals
 //!   `packed_kernel_calls + dense_kernel_calls`; it stays `0` when
-//!   scalar is pinned). `serve::ServiceStats::simd_kernel_fraction`
-//!   aggregates it across shards — the deployment health check that a
-//!   fleet is actually on the fast tier.
+//!   scalar is pinned). `serve::ServiceStats::counters` sums it across
+//!   shards — the deployment health check that a fleet is actually on
+//!   the fast tier.
 //!
 //! ```
 //! use ember::kernels;
