@@ -1,29 +1,6 @@
 use ember_analog::{Comparator, NoiseModel, SigmoidUnit};
 use serde::{Deserialize, Serialize};
 
-/// Which GEMM kernel the software substrates use for the binary-state
-/// products of the sampling hot path (`states · W`, `states · Wᵀ`).
-///
-/// Both kernels produce **bit-identical samples**: they accumulate
-/// every output element's fan-in terms in the same ascending index
-/// order, and skipping an exact-zero term is a floating-point no-op
-/// (see [`crate::kernels`]). The flag only selects how fast the product
-/// is computed; [`ember_substrate::HardwareCounters`] records which
-/// kernel served each call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GsKernel {
-    /// Bit-packed fast path: batches that are exactly `{0, 1}` are
-    /// packed into a [`crate::kernels::BitMatrix`] and multiplied by
-    /// accumulating selected weight rows ([`crate::kernels::binary_gemm`]);
-    /// non-binary batches (multi-bit DTC gray levels) fall back to the
-    /// dense GEMM per call.
-    #[default]
-    Packed,
-    /// Always the dense GEMM — the reference the packed kernel is
-    /// tested against.
-    Dense,
-}
-
 /// Configuration of the Gibbs-sampler accelerator (§3.2).
 ///
 /// All fields are private: construction is `Default` (the paper's
@@ -53,7 +30,6 @@ pub struct GsConfig {
     noise: NoiseModel,
     dtc_bits: u32,
     settle_phase_points: u64,
-    kernel: GsKernel,
 }
 
 impl GsConfig {
@@ -92,11 +68,6 @@ impl GsConfig {
     /// Phase points one clamped settle takes (feeds the perf model).
     pub fn settle_phase_points(&self) -> u64 {
         self.settle_phase_points
-    }
-
-    /// The GEMM kernel of the binary-state sampling hot path.
-    pub fn kernel(&self) -> GsKernel {
-        self.kernel
     }
 
     /// Returns a copy with the given `k`.
@@ -156,14 +127,6 @@ impl GsConfig {
         self
     }
 
-    /// Returns a copy with the given sampling GEMM kernel (samples are
-    /// bit-identical either way; see [`GsKernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: GsKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Returns a copy with the given settle duration in phase points.
     ///
     /// # Panics
@@ -190,7 +153,6 @@ impl Default for GsConfig {
             noise: NoiseModel::noiseless(),
             dtc_bits: 8,
             settle_phase_points: 50,
-            kernel: GsKernel::Packed,
         }
     }
 }
@@ -455,13 +417,6 @@ mod tests {
         assert_eq!(c.dtc_bits(), 6);
         assert_eq!(c.settle_phase_points(), 20);
         assert_eq!(c.anneal_phase_points(), 200);
-    }
-
-    #[test]
-    fn gs_kernel_builder_roundtrip() {
-        assert_eq!(GsConfig::default().kernel(), GsKernel::Packed);
-        let c = GsConfig::default().with_kernel(GsKernel::Dense);
-        assert_eq!(c.kernel(), GsKernel::Dense);
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //! an exact-zero term is a floating-point no-op (`x + 0.0 == x` for
 //! every finite `x`, and `1.0 · w == w`). It is equally bit-identical
 //! to the vendored `ndarray` GEMM's non-transposed kernels, which
-//! accumulate in the same `ikj` order — so flipping a sampler between
-//! the packed and dense kernels never changes a sampled bit, only the
-//! time it takes to produce it. [`GsKernel`](crate::GsKernel) selects
-//! between them; [`HardwareCounters`](ember_substrate::HardwareCounters)
-//! records which kernel served each call
-//! (`packed_kernel_calls` / `dense_kernel_calls`).
+//! accumulate in the same `ikj` order. The software substrates multiply
+//! a row-major array on either side (the realized weights, or their
+//! cached transpose for the visible side), so whether a clamp runs the
+//! packed kernel (exactly binary) or the dense GEMM (gray DTC levels)
+//! never changes a sampled bit, only the time it takes to produce it.
+//! [`HardwareCounters`](ember_substrate::HardwareCounters) records which
+//! kernel served each call (`packed_kernel_calls` /
+//! `dense_kernel_calls`).
 //!
 //! # Example
 //!

@@ -28,11 +28,11 @@
 //! paper's "drop-in replacement" claim as a type.
 //!
 //! The sampling hot path of every software backend runs on the
-//! bit-packed binary-state kernels of the [`kernels`] module by
-//! default: binary batches pack into a [`BitMatrix`] and the field GEMM
-//! reduces to summing selected weight rows, bit-identical to the dense
-//! GEMM ([`GsKernel`] selects; `HardwareCounters` records which kernel
-//! served each call).
+//! bit-packed binary-state kernels of the [`kernels`] module: an exactly
+//! binary clamp packs into a [`BitMatrix`] and the field GEMM reduces to
+//! summing selected weight rows, bit-identical to the dense GEMM that
+//! gray DTC levels take (`HardwareCounters` records which kernel served
+//! each call).
 //!
 //! Both are *behavioral* models at the same level as the paper's Matlab
 //! models (§4.1): every circuit non-ideality — sigmoid transfer curve,
@@ -68,7 +68,7 @@ pub mod recovery;
 mod sampler;
 pub mod substrate;
 
-pub use config::{BgfConfig, GsConfig, GsKernel};
+pub use config::{BgfConfig, GsConfig};
 pub use gibbs_sampler::GibbsSampler;
 pub use gradient_follower::BoltzmannGradientFollower;
 pub use kernels::BitMatrix;

@@ -168,32 +168,46 @@ impl AnalogSampler {
         })
     }
 
-    /// Stochastic tail of the batched node path with **one RNG stream
-    /// per row**, over precomputed fields: bias add, then for each row —
-    /// coupler-noise perturbation (when `var_coupler` is given) and the
-    /// sigmoid/comparator latch, drawing exclusively from that row's
-    /// stream. This is the serving-layer tail: the field products
-    /// accumulate each output row independently of the others, so row
-    /// `i`'s bits depend only on (weights, bias, row `i`, `rngs[i]`) —
-    /// identical whether the row is sampled alone or coalesced into any
+    /// Stochastic tail of the batched node path over precomputed fields,
+    /// in place: bias add, closed-form coupler-noise perturbation (when
+    /// `var_coupler` is given), sigmoid transfer and comparator latch.
+    ///
+    /// Row `i` draws from `rngs[i]`, or every row from `rngs[0]` when
+    /// one stream serves the batch. Every perturbation is drawn before
+    /// any latch, row by row. So one stream sees all the noise, then all
+    /// the latches, in row-major order; with one stream per row, each
+    /// stream sees its row's noise, then its row's latches, and row
+    /// `i`'s bits depend only on (weights, bias, row `i`, `rngs[i]`):
+    /// the same whether the row is sampled alone or coalesced into any
     /// batch.
-    pub(crate) fn latch_batch_rows(
+    pub(crate) fn latch(
         &self,
         fields: &mut Array2<f64>,
         bias: &ArrayView1<'_, f64>,
         var_coupler: Option<&Array2<f64>>,
         rngs: &mut [&mut dyn rand::RngCore],
     ) {
-        assert_eq!(fields.nrows(), rngs.len(), "one RNG stream per row");
-        for (i, mut row) in fields.axis_iter_mut(ndarray::Axis(0)).enumerate() {
-            row += bias;
-            let rng = &mut *rngs[i];
-            if let Some(var) = var_coupler {
-                for (j, f) in row.iter_mut().enumerate() {
-                    let sigma = (var[[i, j]] + 1.0).sqrt(); // +1: unit-scale node noise
+        let shared = rngs.len() == 1;
+        let stream = |i: usize| if shared { 0 } else { i };
+        if let Some(var) = var_coupler {
+            for (i, (mut row, var)) in fields
+                .axis_iter_mut(ndarray::Axis(0))
+                .zip(var.rows())
+                .enumerate()
+            {
+                row += bias;
+                let rng = &mut *rngs[stream(i)];
+                for (f, &v) in row.iter_mut().zip(var.iter()) {
+                    let sigma = (v + 1.0).sqrt(); // +1: unit-scale node noise
                     *f = self.noise.perturb(*f, sigma, rng);
                 }
             }
+        }
+        for (i, mut row) in fields.axis_iter_mut(ndarray::Axis(0)).enumerate() {
+            if var_coupler.is_none() {
+                row += bias;
+            }
+            let rng = &mut *rngs[stream(i)];
             for f in row.iter_mut() {
                 let p = self.sigmoid.transfer(*f);
                 *f = if self.comparator.sample(p, &self.thermal, rng) {
@@ -202,40 +216,6 @@ impl AnalogSampler {
                     0.0
                 };
             }
-        }
-    }
-
-    /// Stochastic tail of the batched node path, over precomputed
-    /// fields: bias add, closed-form coupler-noise perturbation (when
-    /// `var_coupler` is given), sigmoid transfer, comparator latch —
-    /// all element-wise over the field matrix in row-major order.
-    ///
-    /// Statistically identical to calling [`AnalogSampler::sample_layer`]
-    /// per row (same per-element noise model), but consumes the RNG in
-    /// row-major element order rather than row-call order.
-    pub(crate) fn latch_batch<R: Rng + ?Sized>(
-        &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
-        var_coupler: Option<&Array2<f64>>,
-        rng: &mut R,
-    ) {
-        for mut row in fields.axis_iter_mut(ndarray::Axis(0)) {
-            row += bias;
-        }
-        if let Some(var) = var_coupler {
-            for (f, v) in fields.iter_mut().zip(var.iter()) {
-                let sigma = (v + 1.0).sqrt(); // +1: unit-scale node noise
-                *f = self.noise.perturb(*f, sigma, rng);
-            }
-        }
-        for f in fields.iter_mut() {
-            let p = self.sigmoid.transfer(*f);
-            *f = if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            };
         }
     }
 }

@@ -5,8 +5,7 @@ use ember_ising::{AnnealSchedule, Annealer, BipartiteProblem, IsingProblem};
 use ember_rbm::Rbm;
 use ember_substrate::{HardwareCounters, Side, Substrate};
 
-use crate::kernels::{binary_gemm, BitMatrix};
-use crate::GsKernel;
+use super::couplings::Couplings;
 
 /// A Metropolis annealer driven as a conditional sampler over the
 /// bipartite coupling — the software stand-in for an annealing-capable
@@ -21,6 +20,10 @@ use crate::GsKernel;
 /// `T = 1` that is exactly the RBM conditional — the annealer is a
 /// *calibrated* substrate, unlike the dynamics-driven
 /// [`super::BrimSubstrate`].
+///
+/// The conditional fields of a whole batch come from one product on the
+/// same programmed coupling image as [`super::SoftwareGibbs`]: bit-packed
+/// for a binary clamp, the dense GEMM for gray levels.
 ///
 /// # Example
 ///
@@ -39,16 +42,11 @@ use crate::GsKernel;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnnealerSubstrate {
-    problem: BipartiteProblem,
-    /// Materialized transpose of the programmed coupling, refreshed at
-    /// every programming event: the packed reverse sweep-field kernel
-    /// accumulates contiguous `Wᵀ` rows.
-    weights_t: Array2<f64>,
+    couplings: Couplings,
     annealer: Annealer,
     temperature: f64,
     burn_in: usize,
     thin: usize,
-    kernel: GsKernel,
     counters: HardwareCounters,
 }
 
@@ -58,15 +56,19 @@ impl AnnealerSubstrate {
     /// single-spin-flip on independent spins, so they mix in a handful
     /// of sweeps).
     pub fn new(problem: BipartiteProblem) -> Self {
-        let weights_t = problem.weights().t().to_owned();
+        let mut couplings = Couplings::zeros(problem.visible_len(), problem.hidden_len(), false);
+        couplings.program(
+            &problem.weights().view(),
+            &problem.visible_bias().view(),
+            &problem.hidden_bias().view(),
+            None,
+        );
         AnnealerSubstrate {
-            problem,
-            weights_t,
+            couplings,
             annealer: Annealer::new(AnnealSchedule::constant(1.0, 1)),
             temperature: 1.0,
             burn_in: 8,
             thin: 2,
-            kernel: GsKernel::Packed,
             counters: HardwareCounters::new(),
         }
     }
@@ -105,62 +107,6 @@ impl AnnealerSubstrate {
         self
     }
 
-    /// Returns a copy running the sweep-field products on the given
-    /// kernel (conditional fields — and therefore samples — are
-    /// bit-identical either way; see [`GsKernel`]).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: GsKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The selected sweep-field GEMM kernel.
-    pub fn kernel(&self) -> GsKernel {
-        self.kernel
-    }
-
-    /// The programmed bipartite coupling.
-    pub fn problem(&self) -> &BipartiteProblem {
-        &self.problem
-    }
-
-    /// The conditional bit fields of one batched half-step
-    /// (`clamped · W (+ bias)` sampling [`Side::Hidden`],
-    /// `clamped · Wᵀ (+ bias)` sampling [`Side::Visible`]), through the
-    /// selected kernel. Binary batches run the bit-packed product; gray
-    /// levels and the dense baseline pay the dense GEMM. Returns the
-    /// fields and whether the packed kernel served the call (for the
-    /// counter accounting).
-    fn batch_fields(&self, clamped: &Array2<f64>, side: Side) -> (Array2<f64>, bool) {
-        let (w, bias) = match side {
-            Side::Hidden => (self.problem.weights(), self.problem.hidden_bias()),
-            Side::Visible => (&self.weights_t, self.problem.visible_bias()),
-        };
-        if self.kernel == GsKernel::Packed {
-            if let Some(bits) = BitMatrix::from_batch(clamped) {
-                return (binary_gemm(&bits, w, Some(&bias.view())), true);
-            }
-        }
-        let mut fields = clamped.dot(w);
-        for mut row in fields.axis_iter_mut(ndarray::Axis(0)) {
-            row += bias;
-        }
-        (fields, false)
-    }
-
-    /// Accounts one batched half-step's kernel choice (the Metropolis
-    /// sweep dots and both field kernels run their inner loops on the
-    /// runtime SIMD tier, so the tier counter is orthogonal to the
-    /// packed/dense split).
-    fn count_kernel(&mut self, packed: bool) {
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        if packed {
-            self.counters.packed_kernel_calls += 1;
-        } else {
-            self.counters.dense_kernel_calls += 1;
-        }
-    }
-
     /// Draws one free-side configuration given per-unit conditional bit
     /// fields `a` (length = free-side size): embeds `a/2` as spin
     /// fields and runs clamped Metropolis sweeps.
@@ -197,11 +143,11 @@ impl Substrate for AnnealerSubstrate {
     }
 
     fn visible_len(&self) -> usize {
-        self.problem.visible_len()
+        self.couplings.weights().nrows()
     }
 
     fn hidden_len(&self) -> usize {
-        self.problem.hidden_len()
+        self.couplings.weights().ncols()
     }
 
     fn program(
@@ -210,30 +156,8 @@ impl Substrate for AnnealerSubstrate {
         visible_bias: &ArrayView1<'_, f64>,
         hidden_bias: &ArrayView1<'_, f64>,
     ) {
-        assert_eq!(
-            weights.dim(),
-            self.problem.weights().dim(),
-            "fabricated size"
-        );
-        // Volatile re-programming of identical parameters (direct
-        // callers, and chaos-wrapped replicas the serving layer
-        // re-programs every group) pays the transfer words but skips
-        // the host-side rebuild of the problem and the cached transpose.
-        let unchanged = weights
-            .iter()
-            .zip(self.problem.weights().iter())
-            .all(|(a, b)| a == b)
-            && *visible_bias == *self.problem.visible_bias()
-            && *hidden_bias == *self.problem.hidden_bias();
-        if !unchanged {
-            self.problem = BipartiteProblem::new(
-                weights.to_owned(),
-                visible_bias.to_owned(),
-                hidden_bias.to_owned(),
-            )
-            .expect("consistent weight/bias dimensions");
-            self.weights_t = self.problem.weights().t().to_owned();
-        }
+        self.couplings
+            .program(weights, visible_bias, hidden_bias, None);
         self.counters.host_words_transferred += self.programming_cost();
     }
 
@@ -243,23 +167,19 @@ impl Substrate for AnnealerSubstrate {
         clamp: &Array2<f64>,
         rng: &mut dyn RngCore,
     ) -> Array2<f64> {
-        let (clamped, free) = match side {
-            Side::Hidden => (self.visible_len(), self.hidden_len()),
-            Side::Visible => (self.hidden_len(), self.visible_len()),
-        };
-        assert_eq!(clamp.ncols(), clamped, "clamp width mismatch");
         // Conditional bit fields for the whole batch in one product
-        // (a = v · W + b_h forward) — bit-packed when the clamp is
-        // binary.
-        let (fields, packed) = self.batch_fields(clamp, side);
-        self.count_kernel(packed);
-        let mut out = Array2::zeros((clamp.nrows(), free));
+        // (a = v · W + b_h forward).
+        let (mut fields, _) = self.couplings.fields(side, clamp, &mut self.counters);
+        for mut row in fields.axis_iter_mut(ndarray::Axis(0)) {
+            row += self.couplings.bias(side);
+        }
+        let mut out = Array2::zeros(fields.dim());
         for (r, field_row) in fields.rows().enumerate() {
             out.row_mut(r)
                 .assign(&self.sample_free_side(&field_row, rng));
         }
         self.counters.phase_points += clamp.nrows() as u64 * self.sweeps_per_sample();
-        self.counters.host_words_transferred += (clamp.nrows() * free) as u64;
+        self.counters.host_words_transferred += out.len() as u64;
         out
     }
 
@@ -310,33 +230,6 @@ mod tests {
         let freq = h.sum() / 3000.0;
         // σ(3/10) ≈ 0.574, far from the T=1 value σ(3) ≈ 0.953.
         assert!((freq - sigmoid(0.3)).abs() < 0.04, "freq {freq}");
-    }
-
-    #[test]
-    fn packed_and_dense_sweep_fields_sample_identically() {
-        use rand::Rng as _;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let w = Array2::from_shape_fn((6, 4), |_| rng.random_range(-1.0..1.0));
-        let problem = BipartiteProblem::new(
-            w,
-            ndarray::Array1::from_shape_fn(6, |_| rng.random_range(-0.5..0.5)),
-            ndarray::Array1::from_shape_fn(4, |_| rng.random_range(-0.5..0.5)),
-        )
-        .unwrap();
-        let v = Array2::from_shape_fn((5, 6), |_| f64::from(rng.random_bool(0.5)));
-        let run = |kernel| {
-            let mut sub = AnnealerSubstrate::new(problem.clone()).with_kernel(kernel);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-            let h = sub.sample_hidden_batch(&v, &mut rng);
-            let back = sub.sample_visible_batch(&h, &mut rng);
-            (h, back, *sub.counters())
-        };
-        let (h_p, v_p, c_p) = run(crate::GsKernel::Packed);
-        let (h_d, v_d, c_d) = run(crate::GsKernel::Dense);
-        assert_eq!(h_p, h_d);
-        assert_eq!(v_p, v_d);
-        assert_eq!(c_p.packed_kernel_calls, 2);
-        assert_eq!(c_d.dense_kernel_calls, 2);
     }
 
     #[test]

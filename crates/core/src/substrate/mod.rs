@@ -26,11 +26,18 @@
 //!
 //! | §3.2 operation | Trait method | `SoftwareGibbs` | `BrimSubstrate` | `AnnealerSubstrate` |
 //! |---|---|---|---|---|
-//! | 1–2. program couplings/biases (`m·n + m + n` words) | `program` | applies frozen coupler variation | spin-domain embedding via `BipartiteBrim::reprogram` | rebuilds the bipartite coupling |
+//! | 1–2. program couplings/biases (`m·n + m + n` words) | `program` | realizes `W ⊙ variation` (frozen at fabrication) into the coupling image | spin-domain embedding via `BipartiteBrim::reprogram` | writes `W` into the coupling image |
 //! | 3. clamp data through DTCs | `quantize_batch` | `Dtc::convert` per element | identity (clamp units drive rails directly) | identity |
-//! | 4–5. settle the free side, read it out | `sample_batch` (`sample_batch_rows`: one RNG stream per row) | GEMM + sigmoid + comparator | clamp → anneal under flip injection → threshold (rows: from power-on each) | clamped-side conditional fields → Metropolis sweeps (rows: the trait default) |
+//! | 4–5. settle the free side, read it out | `sample_batch` (`sample_batch_rows`: one RNG stream per row) | field product + sigmoid + comparator | clamp → anneal under flip injection → threshold (rows: from power-on each) | field product + bias → Metropolis sweeps (rows: the trait default) |
 //! | 6. alternate sides for k-step Gibbs | callers alternate `Side::Hidden` and `Side::Visible` | — | — | — |
 //! | 7–8. host accumulates and updates | host-side | counters track settle phase points + words | phase points = integration steps | phase points = Metropolis sweeps |
+//!
+//! The two software backends share one programmed coupling image: the
+//! realized weights, their transpose and (under a noisy front end) their
+//! squares, re-written only when a weight moved, and shared by clones
+//! until one of them is programmed with other weights. Its field product
+//! runs the bit-packed kernel on an exactly binary clamp and the dense
+//! GEMM on gray levels, with the same bits either way.
 //!
 //! All backends are driven identically — see
 //! `examples/substrate_sampling.rs` for the three of them sampling the
@@ -44,6 +51,7 @@ pub use ember_substrate::{
 
 mod annealer;
 mod brim;
+mod couplings;
 mod software;
 mod spec;
 

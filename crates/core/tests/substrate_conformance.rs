@@ -19,7 +19,7 @@
 use ember_analog::NoiseModel;
 use ember_brim::BrimConfig;
 use ember_core::substrate::{AnnealerSubstrate, BrimSubstrate, SoftwareGibbs, Substrate};
-use ember_core::{GibbsSampler, GsConfig, GsKernel};
+use ember_core::{GibbsSampler, GsConfig};
 use ember_rbm::{exact, Rbm};
 use ndarray::{Array1, Array2};
 use rand::rngs::StdRng;
@@ -77,33 +77,22 @@ fn substrate_visible_tv(substrate: &mut dyn Substrate, rbm: &Rbm, draws: usize, 
 
 #[test]
 fn software_gibbs_matches_exact_distribution() {
-    // Both kernels of the binary-state hot path sample the same
-    // distribution — in fact the same bits (the chain is binary after
-    // the random init, so the packed and dense kernels share every
-    // accumulation order; see `ember_core::kernels`).
+    // The chain is binary after the random init, so every half-step
+    // runs on the bit-packed kernel (see `ember_core::kernels`).
     let rbm = tiny_rbm();
-    for kernel in [GsKernel::Packed, GsKernel::Dense] {
-        let mut rng = StdRng::seed_from_u64(100);
-        let config = GsConfig::default().with_kernel(kernel);
-        let mut sub = SoftwareGibbs::new(4, 3, &config, &mut rng);
-        let tv = substrate_visible_tv(&mut sub, &rbm, 6400, 1);
-        assert!(tv < 0.05, "software Gibbs TV {tv} ({kernel:?})");
-        let counters = sub.counters();
-        match kernel {
-            GsKernel::Packed => assert_eq!(counters.dense_kernel_calls, 0),
-            GsKernel::Dense => assert_eq!(counters.packed_kernel_calls, 0),
-        }
-    }
+    let mut rng = StdRng::seed_from_u64(100);
+    let mut sub = SoftwareGibbs::new(4, 3, &GsConfig::default(), &mut rng);
+    let tv = substrate_visible_tv(&mut sub, &rbm, 6400, 1);
+    assert!(tv < 0.05, "software Gibbs TV {tv}");
+    assert_eq!(sub.counters().dense_kernel_calls, 0);
 }
 
 #[test]
 fn annealer_matches_exact_distribution() {
     let rbm = tiny_rbm();
-    for kernel in [GsKernel::Packed, GsKernel::Dense] {
-        let mut sub = AnnealerSubstrate::for_rbm(&rbm).with_kernel(kernel);
-        let tv = substrate_visible_tv(&mut sub, &rbm, 6400, 2);
-        assert!(tv < 0.05, "annealer TV {tv} ({kernel:?})");
-    }
+    let mut sub = AnnealerSubstrate::for_rbm(&rbm);
+    let tv = substrate_visible_tv(&mut sub, &rbm, 6400, 2);
+    assert!(tv < 0.05, "annealer TV {tv}");
 }
 
 #[test]
@@ -223,11 +212,11 @@ fn golden_workload() -> (Rbm, GsConfig, Array2<f64>) {
     (rbm, config, data)
 }
 
-fn run_golden_workload(kernel: GsKernel) -> GibbsSampler {
+fn run_golden_workload() -> GibbsSampler {
     let mut rng = StdRng::seed_from_u64(42);
     let rbm = Rbm::random(6, 4, 0.1, &mut rng);
     let (_, config, data) = golden_workload();
-    let mut gs = GibbsSampler::new(rbm, config.with_kernel(kernel), &mut rng);
+    let mut gs = GibbsSampler::new(rbm, config, &mut rng);
     for _ in 0..3 {
         gs.train_epoch(&data, 4, &mut rng);
     }
@@ -236,44 +225,41 @@ fn run_golden_workload(kernel: GsKernel) -> GibbsSampler {
 
 #[test]
 fn software_gibbs_bit_identical_to_pre_refactor_batched_path() {
-    // Every (thread count × kernel) combination must land on the same
-    // pre-refactor bits: the rayon row blocks and the bit-packed kernel
-    // both preserve per-element accumulation order exactly.
+    // Every thread count must land on the same pre-refactor bits: the
+    // rayon row blocks and the bit-packed kernel both preserve
+    // per-element accumulation order exactly.
     for threads in THREAD_COUNTS {
-        for kernel in [GsKernel::Packed, GsKernel::Dense] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
-                let gs = run_golden_workload(kernel);
-                let weight_bits: Vec<u64> =
-                    gs.rbm().weights().iter().map(|w| w.to_bits()).collect();
-                assert_eq!(
-                    weight_bits,
-                    GOLDEN_WEIGHT_BITS.to_vec(),
-                    "weights diverged from pre-refactor output at {threads} threads ({kernel:?})"
-                );
-                let bias_bits: Vec<u64> = gs
-                    .rbm()
-                    .visible_bias()
-                    .iter()
-                    .chain(gs.rbm().hidden_bias().iter())
-                    .map(|b| b.to_bits())
-                    .collect();
-                assert_eq!(
-                    bias_bits,
-                    GOLDEN_BIAS_BITS.to_vec(),
-                    "biases diverged from pre-refactor output at {threads} threads ({kernel:?})"
-                );
-                // Counter totals of the pre-refactor run, same capture.
-                let c = gs.counters();
-                assert_eq!(c.positive_samples, 36);
-                assert_eq!(c.negative_samples, 36);
-                assert_eq!(c.phase_points, 9000);
-                assert_eq!(c.host_words_transferred, 1204);
-                assert_eq!(c.host_mac_ops, 2034);
-            });
-        }
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            let gs = run_golden_workload();
+            let weight_bits: Vec<u64> = gs.rbm().weights().iter().map(|w| w.to_bits()).collect();
+            assert_eq!(
+                weight_bits,
+                GOLDEN_WEIGHT_BITS.to_vec(),
+                "weights diverged from pre-refactor output at {threads} threads"
+            );
+            let bias_bits: Vec<u64> = gs
+                .rbm()
+                .visible_bias()
+                .iter()
+                .chain(gs.rbm().hidden_bias().iter())
+                .map(|b| b.to_bits())
+                .collect();
+            assert_eq!(
+                bias_bits,
+                GOLDEN_BIAS_BITS.to_vec(),
+                "biases diverged from pre-refactor output at {threads} threads"
+            );
+            // Counter totals of the pre-refactor run, same capture.
+            let c = gs.counters();
+            assert_eq!(c.positive_samples, 36);
+            assert_eq!(c.negative_samples, 36);
+            assert_eq!(c.phase_points, 9000);
+            assert_eq!(c.host_words_transferred, 1204);
+            assert_eq!(c.host_mac_ops, 2034);
+        });
     }
 }

@@ -154,3 +154,36 @@ fn a_noisy_gray_half_step_allocates_no_weight_sized_array() {
     });
     assert_eq!(allocs, 0, "weight-sized allocations in a visible half-step");
 }
+
+#[test]
+fn replicas_share_the_coupling_image_until_programmed_with_other_weights() {
+    // A shard replica is a clone of the programmed prototype. It holds
+    // the prototype's image until it is programmed with other weights,
+    // copies the image then (2 arrays, 4 with the squared ones of a
+    // noisy front end), and rewrites its own copy in place after that.
+    for (config, image_arrays) in configs().into_iter().zip([2, 4]) {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut proto = SoftwareGibbs::new(M, N, &config, &mut rng);
+        let (before, after) = (
+            Rbm::random(M, N, 0.1, &mut rng),
+            Rbm::random(M, N, 0.1, &mut rng),
+        );
+        program(&mut proto, &before);
+        let held = proto.programmed_weights().clone();
+
+        let mut replica = None;
+        let allocs = weight_sized_allocs(|| replica = Some(proto.clone()));
+        assert_eq!(allocs, 0, "weight-sized allocations in a clone");
+        let mut replica = replica.expect("cloned");
+        let allocs = weight_sized_allocs(|| program(&mut replica, &before));
+        assert_eq!(allocs, 0, "re-programming the prototype's weights");
+        let allocs = weight_sized_allocs(|| program(&mut replica, &after));
+        assert_eq!(allocs, image_arrays, "the first program with other weights");
+        let allocs = weight_sized_allocs(|| program(&mut replica, &before));
+        assert_eq!(allocs, 0, "re-programming a replica that owns its image");
+
+        let bits = |a: &Array2<f64>| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(proto.programmed_weights()), bits(&held));
+        assert_eq!(bits(replica.programmed_weights()), bits(&held));
+    }
+}

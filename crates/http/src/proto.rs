@@ -167,7 +167,8 @@ impl std::error::Error for ParseError {}
 pub enum ReadOutcome {
     /// A complete request.
     Request(Request),
-    /// The peer closed the connection before sending anything.
+    /// The peer closed the connection before sending anything but one
+    /// empty line.
     Closed,
     /// The bytes on the wire are not a valid request.
     Invalid(ParseError),
@@ -313,7 +314,13 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<ReadOutcome> {
 ///
 /// As [`read_request`].
 pub fn read_request_limited<R: BufRead>(r: &mut R, max_body: usize) -> io::Result<ReadOutcome> {
-    let line = match read_line(r)? {
+    let mut line = read_line(r)?;
+    // RFC 9112 §2.2: a server SHOULD ignore at least one empty line
+    // received before the request line.
+    if matches!(&line, Ok(Some(empty)) if empty.is_empty()) {
+        line = read_line(r)?;
+    }
+    let line = match line {
         Ok(Some(line)) if !line.is_empty() => line,
         Ok(_) => return Ok(ReadOutcome::Closed),
         Err(e) => return Ok(ReadOutcome::Invalid(e)),
@@ -411,6 +418,20 @@ mod tests {
     #[test]
     fn empty_connection_is_closed_not_invalid() {
         assert!(matches!(parse(b""), ReadOutcome::Closed));
+    }
+
+    #[test]
+    fn one_empty_line_before_the_request_line_is_ignored() {
+        let ReadOutcome::Request(req) = parse(b"\r\nGET /healthz HTTP/1.1\r\n\r\n") else {
+            panic!("expected request");
+        };
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("GET", "/healthz")
+        );
+        // A peer that closes right after the empty line sent no request.
+        assert!(matches!(parse(b"\r\n"), ReadOutcome::Closed));
+        assert!(matches!(parse(b"\n"), ReadOutcome::Closed));
     }
 
     #[test]

@@ -423,20 +423,36 @@ fn train_over_http_publishes_a_version_sampled_by_later_requests() {
 /// Sends one raw JSON `POST` and returns the whole answer (status line,
 /// headers and body); empty when the server hung up without one.
 fn post_raw(addr: SocketAddr, path: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
     let head = format!(
         "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
+    send_raw(addr, &[head.as_bytes(), body.as_bytes()].concat())
+}
+
+/// Writes `bytes` on a fresh connection and returns the whole answer;
+/// empty when the server hung up without one.
+fn send_raw(addr: SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(bytes).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut answer = String::new();
     let _ = stream.read_to_string(&mut answer);
     answer
+}
+
+/// RFC 9112 §2.2: a server SHOULD ignore at least one empty line
+/// received before the request line. The edge ignores one, so such a
+/// request is answered instead of having its connection closed.
+#[test]
+fn a_request_behind_one_empty_line_is_answered() {
+    let server = Server::start("127.0.0.1:0", service_at(1, 31, 4, 3)).unwrap();
+    let answer = send_raw(server.addr(), b"\r\nGET /healthz HTTP/1.1\r\n\r\n");
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
+    server.shutdown(Duration::from_secs(5));
 }
 
 /// A `cd_k` of 0 or a learning rate that is not finite and positive

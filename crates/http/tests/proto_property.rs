@@ -1,7 +1,7 @@
 //! Property-based tests of HTTP/1.1 request framing: a request parses
-//! the same however the transport splits its bytes, a message the peer
-//! cuts short is never taken for a request, and no byte sequence
-//! panics the parser.
+//! the same however the transport splits its bytes, and behind one
+//! empty line; a message the peer cuts short is never taken for a
+//! request; and no byte sequence panics the parser.
 
 use std::io::{self, BufReader, Read};
 
@@ -123,6 +123,24 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// One empty line before the request line is ignored (RFC 9112
+    /// §2.2): the request parses as it does without it.
+    #[test]
+    fn a_leading_empty_line_is_ignored(
+        wire in wire(),
+        chunk in 1usize..=16,
+        capacity in 1usize..=32,
+    ) {
+        let bytes = [b"\r\n".as_slice(), &wire.bytes].concat();
+        let ReadOutcome::Request(req) = parse(&bytes, chunk, capacity) else {
+            panic!("{wire:?} behind an empty line did not parse");
+        };
+        prop_assert_eq!(&req.method, "POST");
+        prop_assert_eq!(&req.path, &wire.path);
+        prop_assert_eq!(&req.headers, &wire.headers);
+        prop_assert_eq!(&req.body, &wire.body);
     }
 
     /// Arbitrary bytes at arbitrary read sizes never panic the parser.

@@ -671,14 +671,16 @@ impl SamplingService {
             )));
         }
         let shards = self.workers.len().max(1);
-        // Measured per-row service rate, read before the queue lock (a
-        // slightly stale estimate is fine; the lock order stays
-        // state-free → stats-free).
-        let per_row = per_row_nanos(&self.core.ledger().stats);
         let mut st = self.core.state.lock().expect("service lock");
         if !st.open {
             return Err(ServeError::ServiceClosed);
         }
+        // The measured per-row service rate, read only where an estimate
+        // is needed: a deadline to project or a full queue to hint at,
+        // so a plain submit never waits on the shards' accounting. The
+        // lock order is queue, then ledger; no path takes the ledger and
+        // then the queue.
+        let per_row = || per_row_nanos(&self.core.ledger().stats);
 
         // Admission control: a request whose deadline is still in the
         // future but provably unreachable — the backlog ahead of it plus
@@ -690,6 +692,7 @@ impl SamplingService {
         if let Some(deadline) = deadline {
             let now = Instant::now();
             if deadline > now {
+                let per_row = per_row();
                 let projected = drain_estimate(st.queued_rows + weight, per_row, shards);
                 if now + projected > deadline {
                     let retry_after = drain_estimate(st.queued_rows, per_row, shards);
@@ -707,7 +710,7 @@ impl SamplingService {
         // rejection would carry.
         let mut shed_bulk = 0u64;
         if st.queued_rows + weight > self.core.queue_rows && priority == Priority::Interactive {
-            let retry_after = drain_estimate(st.queued_rows, per_row, shards);
+            let retry_after = drain_estimate(st.queued_rows, per_row(), shards);
             while st.queued_rows + weight > self.core.queue_rows {
                 let Some(victim) = st.lanes[LANE_BULK].pop_back() else {
                     break;
@@ -1604,5 +1607,27 @@ mod tests {
             Some(Err(ServeError::Disconnected))
         ));
         assert!(matches!(handle.wait(), Err(ServeError::Disconnected)));
+    }
+
+    #[test]
+    fn a_submit_without_a_deadline_does_not_wait_on_the_ledger() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let rbm = Rbm::random(4, 3, 0.2, &mut rng);
+        let proto = SubstrateSpec::software(GsConfig::default()).fabricate_for(&rbm, &mut rng);
+        let service = SamplingService::builder().shards(1).build();
+        service.register_model("m", rbm, proto).unwrap();
+        // A shard accounting a long group holds the ledger like this.
+        let ledger = service.core.ledger();
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let service = &service;
+            scope.spawn(move || {
+                let submitted = service.submit(SampleRequest::new("m").with_seed(1));
+                tx.send(submitted.is_ok()).unwrap();
+            });
+            let answered = rx.recv_timeout(Duration::from_secs(5));
+            drop(ledger);
+            assert_eq!(answered, Ok(true), "the submit waited on the ledger");
+        });
     }
 }

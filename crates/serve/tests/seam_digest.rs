@@ -20,7 +20,7 @@
 
 use ember_analog::NoiseModel;
 use ember_brim::BrimConfig;
-use ember_core::{verify_programming, AnnealerSubstrate, GsConfig, GsKernel, SubstrateSpec};
+use ember_core::{verify_programming, AnnealerSubstrate, GsConfig, SubstrateSpec};
 use ember_rbm::Rbm;
 use ember_serve::batch::{self, ChainRequest};
 use ember_substrate::{ChaosConfig, ChaosSubstrate, HardwareCounters, Substrate, SubstrateFault};
@@ -185,9 +185,9 @@ fn noisy() -> GsConfig {
     GsConfig::default().with_noise(NoiseModel::new(0.05, 0.1).unwrap())
 }
 
-fn annealer(kernel: GsKernel) -> u64 {
+fn annealer() -> u64 {
     let rbm = model();
-    let mut sub = AnnealerSubstrate::for_rbm(&rbm).with_kernel(kernel);
+    let mut sub = AnnealerSubstrate::for_rbm(&rbm);
     program(&mut sub, &rbm);
     seam_digest(&mut sub)
 }
@@ -241,34 +241,25 @@ fn chaos_digest() -> u64 {
 fn every_entry_point_keeps_its_bits_and_counters() {
     let digests = [
         (
-            "software packed",
+            "software",
             fabricated(SubstrateSpec::software(GsConfig::default())),
         ),
         (
-            "software noisy packed",
+            "software noisy",
             fabricated(SubstrateSpec::software(noisy())),
-        ),
-        (
-            "software noisy dense",
-            fabricated(SubstrateSpec::software(
-                noisy().with_kernel(GsKernel::Dense),
-            )),
         ),
         (
             "brim",
             fabricated(SubstrateSpec::brim(BrimConfig::default())),
         ),
-        ("annealer packed", annealer(GsKernel::Packed)),
-        ("annealer dense", annealer(GsKernel::Dense)),
+        ("annealer", annealer()),
         ("chaos 30%", chaos_digest()),
     ];
-    let expected: [u64; 7] = [
+    let expected: [u64; 5] = [
         0x1562_638a_d2ae_1149,
         0x1ed3_04a3_437d_bbc0,
-        0x4fb0_34a7_bfe6_cca8,
         0x975b_b6a0_f3f7_1180,
         0xab6d_400b_e9d0_1ca3,
-        0xc233_4c10_fbe8_3dcb,
         0x1753_06d7_3c40_8eb6,
     ];
     let actual: Vec<u64> = digests.iter().map(|&(_, x)| x).collect();

@@ -309,19 +309,17 @@
 //!
 //! Every product with a binary left operand in the sampling hot path —
 //! `states · W`, `states · Wᵀ` — runs on the bit-packed kernel layer
-//! (`core::kernels`) by default: exact-`{0, 1}` batches pack 64 states
-//! per `u64` word and the GEMM reduces to summing selected weight rows
-//! (no multiplies, zeros skipped a word at a time). The packed and
-//! dense kernels accumulate in the same index order, so **samples are
-//! bit-identical either way** — select with
-//! `GsConfig::with_kernel(GsKernel::Dense)` (or
-//! `AnnealerSubstrate::with_kernel`) to measure against the dense
-//! baseline, and read `HardwareCounters::packed_kernel_calls` /
+//! (`core::kernels`): an exactly `{0, 1}` clamp packs 64 states per
+//! `u64` word and the GEMM reduces to summing selected weight rows (no
+//! multiplies, zeros skipped a word at a time). Gray clamps (multi-bit
+//! DTC levels) take the dense GEMM. The two accumulate in the same index
+//! order, so **samples never depend on the kernel**, only the time it
+//! takes. Read `HardwareCounters::packed_kernel_calls` /
 //! `dense_kernel_calls` (also surfaced per shard by
 //! `serve::ServiceStats`) to see which kernel served each call:
 //!
 //! ```
-//! use ember::core::{GsConfig, GsKernel, SubstrateSpec};
+//! use ember::core::{GsConfig, SubstrateSpec};
 //! use ember::core::substrate::Substrate;
 //! use ember::rbm::Rbm;
 //! use ndarray::Array2;
@@ -329,12 +327,14 @@
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let rbm = Rbm::random(8, 4, 0.2, &mut rng);
-//! let config = GsConfig::default().with_kernel(GsKernel::Packed); // the default
-//! let mut sub = SubstrateSpec::software(config).fabricate_for(&rbm, &mut rng);
+//! let mut sub = SubstrateSpec::software(GsConfig::default()).fabricate_for(&rbm, &mut rng);
 //! let v = Array2::from_shape_fn((4, 8), |(i, j)| f64::from((i + j) % 2 == 0));
 //! let h = sub.sample_hidden_batch(&v, &mut rng);
 //! assert_eq!(h.dim(), (4, 4));
 //! assert_eq!(sub.counters().packed_kernel_calls, 1);
+//! let gray = Array2::from_elem((4, 8), 0.5);
+//! let _ = sub.sample_hidden_batch(&gray, &mut rng);
+//! assert_eq!(sub.counters().dense_kernel_calls, 1);
 //! ```
 //!
 //! # Kernel tiers: runtime SIMD dispatch
