@@ -12,7 +12,7 @@
 //! train, rollback, or snapshot, which mutate state the client cannot
 //! prove was not applied).
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use ember_serve::{Priority, ServiceStats};
 use crate::json::{
     ErrorReply, Health, ModelList, RollbackReply, SampleReply, SnapshotReply, TrainReply, JSON_MIME,
 };
-use crate::proto::{read_response, Response};
+use crate::proto::{read_response, write_request, Response};
 use crate::server::headers;
 use crate::wire::{self, WireError, WireSamples, WIRE_MIME};
 
@@ -418,17 +418,15 @@ impl Client {
     ) -> Result<Response, ClientError> {
         let mut stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true).ok();
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.addr);
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        if let Some(ct) = content_type {
-            head.push_str(&format!("Content-Type: {ct}\r\n"));
-        }
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
-        stream.flush()?;
+        write_request(
+            &mut stream,
+            method,
+            path,
+            self.addr,
+            extra_headers,
+            content_type,
+            body,
+        )?;
         let response = read_response(&mut BufReader::new(stream))?;
         if (200..300).contains(&response.status) {
             return Ok(response);

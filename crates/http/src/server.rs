@@ -446,10 +446,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(shared.config.read_timeout);
     let _ = stream.set_write_timeout(shared.config.write_timeout);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(&stream);
     let response = match read_request_limited(&mut reader, shared.config.max_body) {
         Err(e) if is_timeout(&e) => error_response(
             408,
@@ -467,8 +464,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 .unwrap_or_else(|_| error_response(500, "internal", "the request handler panicked"))
         }
     };
-    let mut stream = stream;
-    let _ = response.write_to(&mut stream);
+    let _ = response.write_to(&mut &stream);
 }
 
 /// `true` for the error kinds a timed-out socket read surfaces
@@ -823,6 +819,37 @@ fn snapshot(shared: &Shared) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::tests::Counting;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A binary sample answer and an error answer each leave the edge in
+    /// one `write` (30 and 14 when written piece by piece).
+    #[test]
+    fn edge_answers_leave_in_one_write() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let rbm = ember_rbm::Rbm::random(23, 9, 0.4, &mut rng);
+        let spec = ember_core::SubstrateSpec::software(ember_core::GsConfig::default());
+        let service = SamplingService::builder().shards(1).build();
+        service
+            .register_model("m", rbm, spec.fabricate(23, 9, &mut rng))
+            .unwrap();
+        let req = Request {
+            method: "POST".into(),
+            path: "/v1/models/m/sample".into(),
+            headers: vec![("Accept".into(), WIRE_MIME.into())],
+            body: br#"{"seed": 7}"#.to_vec(),
+        };
+        let binary = sample(&service, "m", &req);
+        assert_eq!(binary.header("Content-Type"), Some(WIRE_MIME));
+        let error = error_response(400, "invalid_request", "bad knob");
+        let writes = [binary, error].map(|answer| {
+            let mut w = Counting::default();
+            answer.write_to(&mut w).unwrap();
+            w.writes
+        });
+        assert_eq!(writes, [1, 1], "binary sample and error answers");
+    }
 
     /// Stopping closes the listener before it returns: the blocking
     /// accept loop was woken and joined, not left parked.
