@@ -12,6 +12,7 @@
 //! train, rollback, or snapshot, which mutate state the client cannot
 //! prove was not applied).
 
+use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -631,23 +632,12 @@ impl Client {
         epochs: usize,
         seed: u64,
     ) -> Result<TrainReply, ClientError> {
-        let rows: Vec<serde::Value> = data
-            .rows()
-            .map(|row| serde::Value::Seq(row.iter().map(|&x| serde::Value::Float(x)).collect()))
-            .collect();
-        let body = serde_json::to_string(&serde::Value::Map(vec![
-            ("data".into(), serde::Value::Seq(rows)),
-            ("epochs".into(), serde::Value::UInt(epochs as u64)),
-            ("seed".into(), serde::Value::UInt(seed)),
-        ]))
-        .expect("serialize train body")
-        .into_bytes();
         let response = self.roundtrip(
             "POST",
             &format!("/v1/models/{model}/train"),
             &[],
             Some(JSON_MIME),
-            &body,
+            &train_body(data, epochs, seed),
             false, // a replayed train would publish a second version
         )?;
         Self::decode_json(&response)
@@ -692,6 +682,30 @@ impl Client {
     }
 }
 
+/// The JSON body of [`Client::train`], `{"data":[[…],…],"epochs":…,"seed":…}`,
+/// written row by row with no value tree in between. Each level goes
+/// through `serde_json`'s one number writer, so the bytes are those
+/// `serde_json::to_string` gives for the same rows as a tree.
+fn train_body(data: &ndarray::Array2<f64>, epochs: usize, seed: u64) -> Vec<u8> {
+    let mut body = String::from("{\"data\":[");
+    for (i, row) in data.rows().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push('[');
+        for (j, &x) in row.iter().enumerate() {
+            if j > 0 {
+                body.push(',');
+            }
+            serde_json::write_f64(x, &mut body);
+        }
+        body.push(']');
+    }
+    // Writing to a `String` cannot fail.
+    let _ = write!(body, "],\"epochs\":{epochs},\"seed\":{seed}}}");
+    body.into_bytes()
+}
+
 /// Convenience for callers that want dense samples out of a binary
 /// response without touching the wire types.
 impl BinarySample {
@@ -713,5 +727,61 @@ impl BinarySample {
     /// The clamp row as `Array1` — helper for tests comparing uploads.
     pub fn row(&self, r: usize) -> Array1<f64> {
         self.to_dense().row(r).to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::Rng;
+
+    /// The body as `Client::train` built it from a value tree.
+    fn tree_body(data: &ndarray::Array2<f64>, epochs: usize, seed: u64) -> Vec<u8> {
+        let rows: Vec<serde::Value> = data
+            .rows()
+            .map(|row| serde::Value::Seq(row.iter().map(|&x| serde::Value::Float(x)).collect()))
+            .collect();
+        serde_json::to_string(&serde::Value::Map(vec![
+            ("data".into(), serde::Value::Seq(rows)),
+            ("epochs".into(), serde::Value::UInt(epochs as u64)),
+            ("seed".into(), serde::Value::UInt(seed)),
+        ]))
+        .expect("serialize train body")
+        .into_bytes()
+    }
+
+    #[test]
+    fn the_train_body_is_written_as_the_tree_wrote_it() {
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            f64::NAN,
+            f64::INFINITY,
+            1e15,
+            -1e15,
+            1e16,
+            999_999_999_999_999.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            0.1,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x7EA1);
+        for case in 0..200 {
+            let (rows, cols) = (rng.random_range(0..=6), rng.random_range(0..=6));
+            let data =
+                ndarray::Array2::from_shape_fn((rows, cols), |_| match rng.random_range(0..4) {
+                    0 => special[rng.random_range(0..special.len())],
+                    1 => f64::from(rng.random_range(0..2u8)),
+                    2 => rng.random_range(-1e17..1e17f64).trunc(),
+                    _ => rng.random_range(-1.0..1.0) * 10f64.powi(rng.random_range(-310..310)),
+                });
+            let (epochs, seed) = (rng.random_range(0..100), rng.random::<u64>());
+            assert_eq!(
+                String::from_utf8(train_body(&data, epochs, seed)).unwrap(),
+                String::from_utf8(tree_body(&data, epochs, seed)).unwrap(),
+                "case {case}"
+            );
+        }
     }
 }

@@ -724,22 +724,12 @@ fn train(service: &SamplingService, name: &str, req: &Request) -> Response {
         Ok(parsed) => parsed,
         Err(e) => return error_response(400, "invalid_request", &e),
     };
-    let rows = parsed.data.len();
-    let cols = parsed.data.first().map_or(0, Vec::len);
-    let mut flat = Vec::with_capacity(rows * cols);
-    for row in &parsed.data {
-        flat.extend_from_slice(row);
-    }
-    let data = match ndarray::Array2::from_shape_vec((rows, cols), flat) {
-        Ok(data) => data,
-        Err(e) => return error_response(400, "invalid_request", &e.to_string()),
-    };
     let rate = parsed.learning_rate;
     if parsed.cd_k == Some(0) || !rate.is_none_or(|lr| lr.is_finite() && lr > 0.0) {
         let msg = "`cd_k` must be at least 1 and `learning_rate` finite and positive";
         return error_response(400, "invalid_request", msg);
     }
-    let mut request = TrainRequest::new(name, data);
+    let mut request = TrainRequest::new(name, parsed.data);
     if let (Some(k), lr) = (parsed.cd_k, parsed.learning_rate) {
         request = request.with_trainer(ember_rbm::CdTrainer::new(k, lr.unwrap_or(0.05)));
     } else if let Some(lr) = parsed.learning_rate {

@@ -7,7 +7,9 @@
 //!   visible units;
 //! * `429` carries `Retry-After`;
 //! * shutdown drains in-flight HTTP requests;
-//! * a train knob the trainer would reject is a `400`, not a dead worker.
+//! * a train knob the trainer would reject is a `400`, not a dead worker;
+//! * a body nested past the JSON depth limit, or carrying a 1 MiB string,
+//!   is a prompt `400`, not a dead process or a held worker.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -512,5 +514,53 @@ fn non_finite_or_out_of_range_training_data_is_400() {
         answer.contains("X-Ember-Model-Version: 2\r\n"),
         "{answer:?}"
     );
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// The JSON parser recurses once per `[` or `{`. A body nested deeper
+/// than `serde_json::MAX_DEPTH` is a `400` on every route that parses
+/// JSON before it looks up the model, instead of a stack overflow that
+/// aborts the process, and the one worker serves the next request.
+#[test]
+fn a_deeply_nested_body_is_400_and_a_one_worker_edge_serves_on() {
+    let server = Server::start_with_workers("127.0.0.1:0", service_at(1, 41, 4, 3), 1).unwrap();
+    let deep = "[".repeat(100_000);
+    for path in [
+        "/v1/models/m/train",
+        "/v1/models/m/sample",
+        "/v1/models/m/rollback",
+    ] {
+        let answer = post_raw(server.addr(), path, &deep);
+        assert!(answer.starts_with("HTTP/1.1 400"), "{path}: {answer:?}");
+        assert!(
+            answer.contains("nesting deeper than 128"),
+            "{path}: {answer:?}"
+        );
+    }
+    let answer = post_raw(
+        server.addr(),
+        "/v1/models/m/train",
+        r#"{"data": [[0, 1, 0, 1]]}"#,
+    );
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
+    let report = server.shutdown(Duration::from_secs(5));
+    assert!(report.connections_drained);
+}
+
+/// Strings parse in time linear in their length: a training body with a
+/// 1 MiB unknown string field is refused promptly.
+#[test]
+fn a_train_body_with_a_long_unknown_string_is_a_prompt_400() {
+    let server = Server::start("127.0.0.1:0", service_at(1, 43, 4, 3)).unwrap();
+    let body = format!(
+        r#"{{"data": [[0, 1, 0, 1]], "note": "{}"}}"#,
+        "A".repeat(1 << 20)
+    );
+    let started = std::time::Instant::now();
+    let answer = post_raw(server.addr(), "/v1/models/m/train", &body);
+    let elapsed = started.elapsed();
+    assert!(answer.starts_with("HTTP/1.1 400"), "{answer:?}");
+    assert!(answer.contains("unknown train field `note`"), "{answer:?}");
+    assert!(elapsed < Duration::from_secs(5), "{elapsed:?}");
     server.shutdown(Duration::from_secs(5));
 }
