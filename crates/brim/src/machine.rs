@@ -1,24 +1,12 @@
-//! The all-to-all BRIM machine and its anneal ensembles.
-//!
-//! # Parallel restarts and the RNG-stream contract
-//!
-//! Like the physical machine, single anneals land in local minima; the
-//! standard remedy is a best-of-`R` restart ensemble.
-//! [`BrimMachine::anneal_ensemble`] runs the `R` restarts across the
-//! rayon pool: restart `r` draws all of its randomness from
-//! [`RngStreams::rng`]`(r)` — an independent substream split from the
-//! caller's master seed — and the winner is selected by `(energy,
-//! restart index)`, so the result is bit-identical at every thread
-//! count. For RBM-shaped problems prefer the bipartite machine
-//! ([`crate::BipartiteBrim`]), whose local-field kernel is `O(m·n)`
-//! instead of this machine's dense `(m+n)²` product.
+//! The all-to-all BRIM machine. For RBM-shaped problems prefer the
+//! bipartite machine ([`crate::BipartiteBrim`]), whose local-field kernel
+//! is `O(m·n)` instead of this machine's dense `(m+n)²` product.
 
 use ndarray::Array1;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use ember_ising::{IsingProblem, RngStreams, SpinVec};
+use ember_ising::{IsingProblem, SpinVec};
 
 use crate::{BrimConfig, FlipSchedule};
 
@@ -59,9 +47,7 @@ pub struct BrimSolution {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BrimMachine {
-    /// Shared immutably: restart ensembles program many machines with
-    /// the same (potentially multi-megabyte) coupling matrix.
-    problem: std::sync::Arc<IsingProblem>,
+    problem: IsingProblem,
     config: BrimConfig,
     voltages: Array1<f64>,
     phase_points: usize,
@@ -72,12 +58,6 @@ impl BrimMachine {
     /// Nodes start at small alternating voltages (a deterministic, unbiased
     /// initial condition).
     pub fn new(problem: IsingProblem, config: BrimConfig) -> Self {
-        Self::from_shared(std::sync::Arc::new(problem), config)
-    }
-
-    /// Programs an already-shared problem (one coupling matrix, many
-    /// machines — the restart-ensemble path).
-    pub fn from_shared(problem: std::sync::Arc<IsingProblem>, config: BrimConfig) -> Self {
         let n = problem.len();
         let voltages = Array1::from_shape_fn(n, |i| if i % 2 == 0 { 0.01 } else { -0.01 });
         BrimMachine {
@@ -216,51 +196,6 @@ impl BrimMachine {
         // No randomness consumed: flip probability is zero throughout.
         let mut rng = NoRng;
         self.anneal(&FlipSchedule::quench(steps), &mut rng)
-    }
-
-    /// Best-of-`restarts` anneal ensemble, run across the rayon pool.
-    ///
-    /// Each restart programs a fresh machine, randomizes it from its own
-    /// RNG stream (`streams.rng(restart)`), and anneals under `schedule`;
-    /// the best solution (ties broken by lowest restart index) is
-    /// returned with `phase_points` totalled over the whole ensemble.
-    /// Bit-identical at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `restarts == 0`.
-    pub fn anneal_ensemble(
-        problem: &IsingProblem,
-        config: BrimConfig,
-        schedule: &FlipSchedule,
-        restarts: usize,
-        streams: RngStreams,
-    ) -> BrimSolution {
-        assert!(restarts >= 1, "need at least one restart");
-        let shared = std::sync::Arc::new(problem.clone());
-        let solutions: Vec<BrimSolution> = (0..restarts)
-            .into_par_iter()
-            .map(|r| {
-                let mut rng = streams.rng(r as u64);
-                let mut machine = BrimMachine::from_shared(shared.clone(), config);
-                machine.randomize(&mut rng);
-                machine.anneal(schedule, &mut rng)
-            })
-            .collect();
-        let total_phase_points = restarts * schedule.steps();
-        let mut best = None::<BrimSolution>;
-        for sol in solutions {
-            let better = match &best {
-                None => true,
-                Some(b) => sol.energy < b.energy,
-            };
-            if better {
-                best = Some(sol);
-            }
-        }
-        let mut best = best.expect("at least one restart");
-        best.phase_points = total_phase_points;
-        best
     }
 }
 

@@ -1,9 +1,8 @@
 //! Equivalence of the bipartite BRIM's `O(m·n)` two-GEMV local-field
-//! kernel with the dense `(m+n)²` coupling product it replaces, plus the
-//! determinism contract of the parallel anneal ensemble.
+//! kernel with the dense `(m+n)²` coupling product it replaces.
 
-use ember_brim::{BipartiteBrim, BrimConfig, BrimMachine, FlipSchedule};
-use ember_ising::{generate, BipartiteProblem, RngStreams};
+use ember_brim::{BipartiteBrim, BrimConfig};
+use ember_ising::BipartiteProblem;
 use ndarray::{Array1, Array2};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,53 +113,4 @@ fn reprogram_keeps_kernels_equivalent() {
     for i in 0..lf.len() {
         assert!((lf[i] - ld[i]).abs() < 1e-12, "node {i} after reprogram");
     }
-}
-
-#[test]
-fn anneal_ensemble_bit_identical_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(31);
-    let problem = generate::random_gaussian(14, 1.0, 0.2, &mut rng);
-    let schedule = FlipSchedule::geometric(0.08, 1e-3, 250);
-    let streams = RngStreams::new(7);
-    let run = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool")
-            .install(|| {
-                BrimMachine::anneal_ensemble(&problem, BrimConfig::default(), &schedule, 6, streams)
-            })
-    };
-    let reference = run(1);
-    for threads in [1, 2, 8] {
-        let sol = run(threads);
-        assert_eq!(
-            sol.state, reference.state,
-            "state differs at {threads} threads"
-        );
-        assert_eq!(sol.energy, reference.energy);
-        assert_eq!(sol.phase_points, 6 * 250);
-    }
-}
-
-#[test]
-fn anneal_ensemble_beats_or_matches_single_restart() {
-    let mut rng = StdRng::seed_from_u64(41);
-    let problem = generate::random_gaussian(12, 1.0, 0.1, &mut rng);
-    let schedule = FlipSchedule::geometric(0.08, 1e-3, 400);
-    let streams = RngStreams::new(3);
-    let single = {
-        let mut machine = BrimMachine::new(problem.clone(), BrimConfig::default());
-        let mut r = streams.rng(0);
-        machine.randomize(&mut r);
-        machine.anneal(&schedule, &mut r)
-    };
-    let ensemble =
-        BrimMachine::anneal_ensemble(&problem, BrimConfig::default(), &schedule, 8, streams);
-    assert!(
-        ensemble.energy <= single.energy + 1e-12,
-        "ensemble {} worse than single restart {}",
-        ensemble.energy,
-        single.energy
-    );
 }

@@ -5,7 +5,7 @@
 use ember_brim::BrimConfig;
 use ember_core::substrate::{AnnealerSubstrate, BrimSubstrate, SoftwareGibbs, Substrate};
 use ember_core::GsConfig;
-use ember_rbm::{exact, CdTrainer, PcdTrainer, Rbm, RngStreams};
+use ember_rbm::{exact, CdTrainer, PcdTrainer, Rbm};
 use ndarray::Array2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,85 +80,6 @@ fn pcd_through_substrate_runs_and_particles_evolve() {
     assert_ne!(&before, trainer.particles());
     assert!(trainer.particles().iter().all(|&x| x == 0.0 || x == 1.0));
     assert_eq!(sub.counters().negative_samples, 2 * 8);
-}
-
-#[test]
-fn par_with_is_bit_identical_across_thread_counts() {
-    let data = two_mode_data(24, 6);
-    let run = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        pool.install(|| {
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut rbm = Rbm::random(6, 4, 0.01, &mut rng);
-            let mut sub = SoftwareGibbs::new(6, 4, &GsConfig::default(), &mut rng);
-            let trainer = CdTrainer::new(2, 0.1);
-            let streams = RngStreams::new(77);
-            for epoch in 0..3 {
-                trainer.train_epoch_par_with(
-                    &mut rbm,
-                    &data,
-                    8,
-                    &mut sub,
-                    4,
-                    streams.subfamily(epoch),
-                );
-            }
-            (rbm, *sub.counters())
-        })
-    };
-    let (reference, ref_counters) = run(1);
-    for threads in [2, 8] {
-        let (rbm, counters) = run(threads);
-        assert_eq!(
-            rbm, reference,
-            "train_epoch_par_with diverged at {threads} threads"
-        );
-        assert_eq!(
-            counters, ref_counters,
-            "counters diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn pcd_par_with_is_bit_identical_across_thread_counts() {
-    let data = two_mode_data(16, 5);
-    let run = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        pool.install(|| {
-            let mut rng = StdRng::seed_from_u64(13);
-            let mut rbm = Rbm::random(5, 3, 0.01, &mut rng);
-            let mut sub = SoftwareGibbs::new(5, 3, &GsConfig::default(), &mut rng);
-            let mut trainer = PcdTrainer::new(1, 0.05, 6, &rbm, &mut rng);
-            let streams = RngStreams::new(55);
-            for epoch in 0..2 {
-                trainer.train_epoch_par_with(
-                    &mut rbm,
-                    &data,
-                    8,
-                    &mut sub,
-                    3,
-                    streams.subfamily(epoch),
-                );
-            }
-            (rbm, trainer.particles().clone())
-        })
-    };
-    let (reference_rbm, reference_particles) = run(1);
-    for threads in [2, 8] {
-        let (rbm, particles) = run(threads);
-        assert_eq!(rbm, reference_rbm, "model diverged at {threads} threads");
-        assert_eq!(
-            particles, reference_particles,
-            "particles diverged at {threads} threads"
-        );
-    }
 }
 
 #[test]

@@ -1,12 +1,13 @@
-//! Deterministic per-chain RNG streams for the parallel sampling engine.
+//! Deterministic per-chain RNG streams: the serving stack's per-chain
+//! seeds and shard lanes.
 //!
-//! Every parallel sampling routine in this workspace follows the same
-//! reproducibility contract: a single **master seed** is split into one
-//! independent stream per Markov chain with [`RngStreams`], each chain
-//! consumes only its own stream, and results are keyed by chain index.
-//! Because no stream is shared across chains, the outputs are
-//! **bit-identical at every rayon thread count** — scheduling can change
-//! which worker runs a chain, never which random numbers the chain sees.
+//! A single **master seed** is split into one independent stream per
+//! Markov chain with [`RngStreams`], and each chain consumes only its own
+//! stream. `ember_serve` seeds chain `j` of a sample request with
+//! `RngStreams::new(seed).seed(j)` and gives each worker shard its own
+//! lane, `subfamily(shard)`. Because no stream is shared across chains, a
+//! chain's bits never depend on how requests are coalesced, sharded or
+//! ordered — only on its own stream.
 //!
 //! Streams are derived with SplitMix64 finalization over
 //! `master ⊕ f(index)`, the standard recipe for splitting one seed into

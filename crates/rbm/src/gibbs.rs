@@ -1,31 +1,14 @@
-//! Gibbs-chain utilities shared by the software trainers (Algorithm 1
-//! lines 12–15) and used standalone as the MCMC reference the paper's
-//! substrate replaces.
-//!
-//! # The parallel batched engine and its RNG-stream contract
-//!
-//! Rows of a batch are independent Markov chains, so the `*_par`
-//! functions ([`chain_batch_par`], [`sample_model_par`]) fan the chains
-//! out across the rayon pool. Randomness is **never** drawn from a
-//! shared generator: a [`RngStreams`] family splits the caller's master
-//! seed into one deterministic substream per chain (SplitMix64 over the
-//! chain index, see [`crate::RngStreams`]), chain `i` consumes only
-//! stream `i`, and results are written back by index. Scheduling can
-//! therefore change *which thread* runs a chain but never *which random
-//! numbers* it sees: outputs are bit-identical at every thread count,
-//! including the serial fallback. The property tests in
-//! `tests/parallel_equivalence.rs` pin this at 1, 2, and 8 threads.
-//!
-//! The serial single-generator functions ([`chain_batch`],
-//! [`sample_model`]) are kept unchanged as the reference path the
-//! parallel chains are tested against.
+//! Host Gibbs chains (Algorithm 1 lines 12–15): the MCMC reference that
+//! the paper's substrate replaces. Tests check [`sample_model`] against
+//! exact enumeration, and benches time [`chain`]. The trainers do not
+//! use these functions; they write their chains once over a half-step
+//! (`trainer::gibbs_steps`) so that the host and every substrate share
+//! them.
 
-use ndarray::{s, Array1, Array2, Axis};
-use rand::rngs::StdRng;
+use ndarray::{Array1, Array2, Axis};
 use rand::Rng;
-use rayon::prelude::*;
 
-use crate::{Rbm, RngStreams};
+use crate::Rbm;
 
 /// One full Gibbs step from a hidden state: samples `v ~ P(v|h)` then
 /// `h' ~ P(h|v)` (Algorithm 1 lines 13–14). Returns `(v, h')`.
@@ -110,104 +93,6 @@ pub fn sample_model<R: Rng + ?Sized>(
             v = v_next;
         }
         out.row_mut(i).assign(&v);
-    }
-    out
-}
-
-/// The parallel engine: splits `rows` into `chunks` contiguous chunks
-/// whose sizes differ by at most one and runs `f` on chunk `c` with its
-/// own stream `streams.rng(c)` across the rayon pool. Returns `f`'s
-/// outputs with every chunk's rows back in place. Results depend on
-/// `chunks` but never on the thread count; one chunk per row makes each
-/// row an independent chain on its own stream.
-pub(crate) fn on_chunks<const K: usize>(
-    rows: &Array2<f64>,
-    chunks: usize,
-    streams: RngStreams,
-    f: impl Fn(&Array2<f64>, &mut StdRng) -> [Array2<f64>; K] + Sync,
-) -> [Array2<f64>; K] {
-    let total = rows.nrows();
-    // No empty chunks, but at least one (empty when `rows` is), so
-    // every output gets its width from `f`.
-    let chunks = chunks.min(total).max(1);
-    let (base, extra) = (total / chunks, total % chunks);
-    let parts: Vec<(usize, [Array2<f64>; K])> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let start = c * base + c.min(extra);
-            let end = start + base + usize::from(c < extra);
-            let chunk = rows.slice(s![start..end, ..]).to_owned();
-            (start, f(&chunk, &mut streams.rng(c as u64)))
-        })
-        .collect();
-    let mut out: [Array2<f64>; K] =
-        std::array::from_fn(|j| Array2::zeros((total, parts[0].1[j].ncols())));
-    for (start, part) in parts {
-        for (whole, block) in out.iter_mut().zip(part) {
-            for (i, row) in block.rows().enumerate() {
-                whole.row_mut(start + i).assign(&row);
-            }
-        }
-    }
-    out
-}
-
-/// Parallel batched `k`-step Gibbs chain: row `i` of `v0` evolves on its
-/// own RNG stream `streams.rng(i)`, chains run across the rayon pool,
-/// and the result is bit-identical at every thread count. Returns
-/// `(v⁻, h⁻)` matrices of shapes `(batch, m)` / `(batch, n)`.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `v0` width differs from the RBM.
-pub fn chain_batch_par(
-    rbm: &Rbm,
-    v0: &Array2<f64>,
-    k: usize,
-    streams: RngStreams,
-) -> (Array2<f64>, Array2<f64>) {
-    assert!(k >= 1, "chain length must be at least 1");
-    assert_eq!(v0.ncols(), rbm.visible_len(), "visible width mismatch");
-    let [v, h] = on_chunks(v0, v0.nrows(), streams, |row, rng| {
-        let (v, h) = chain_batch(rbm, row, k, rng);
-        [v, h]
-    });
-    (v, h)
-}
-
-/// Parallel model sampling: `chains` independent chains, each with its
-/// own RNG stream, burn-in, and thinning; chain `c` produces every
-/// `chains`-th row of the output so the result is bit-identical at every
-/// thread count. Returns `(count, m)` samples of `P(v)`.
-///
-/// # Panics
-///
-/// Panics if `chains == 0`.
-pub fn sample_model_par(
-    rbm: &Rbm,
-    count: usize,
-    burn_in: usize,
-    thin: usize,
-    chains: usize,
-    streams: RngStreams,
-) -> Array2<f64> {
-    assert!(chains >= 1, "need at least one chain");
-    let m = rbm.visible_len();
-    let per_chain: Vec<usize> = (0..chains)
-        .map(|c| count / chains + usize::from(c < count % chains))
-        .collect();
-    let chunks: Vec<Array2<f64>> = (0..chains)
-        .into_par_iter()
-        .map(|c| {
-            let mut rng = streams.rng(c as u64);
-            sample_model(rbm, per_chain[c], burn_in, thin, &mut rng)
-        })
-        .collect();
-    // Interleave: output row r comes from chain r % chains, draw r / chains.
-    let mut out = Array2::zeros((count, m));
-    for r in 0..count {
-        let chunk = &chunks[r % chains];
-        out.row_mut(r).assign(&chunk.row(r / chains));
     }
     out
 }

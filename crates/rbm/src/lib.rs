@@ -15,7 +15,9 @@
 //!   paper's Appendix A bias study.
 //! * [`exact`] — exact partition function / log-likelihood / distribution
 //!   for tiny models (used by AIS validation and the KL experiments).
-//! * [`gibbs`] — Gibbs-chain utilities shared by the trainers.
+//! * [`gibbs`] — host Gibbs chains, the MCMC reference the substrate
+//!   replaces (the trainers draw their chains through their own
+//!   half-steps instead).
 //! * [`Dbn`] — stacked RBMs with greedy layer-wise pretraining, and
 //!   [`Mlp`] — a plain dense network (sigmoid hidden layers + softmax
 //!   output) for the DBN-DNN fine-tuning pipeline of Table 1.

@@ -4,12 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use ember_substrate::{Side, Substrate};
 
-use crate::gibbs;
 use crate::trainer::{
-    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, on_replicas,
-    program, CoCounts, EpochStats,
+    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, program,
+    CoCounts, EpochStats,
 };
-use crate::{Rbm, RngStreams};
+use crate::Rbm;
 
 /// The contrastive-divergence trainer of Algorithm 1 (CD-k).
 ///
@@ -116,7 +115,7 @@ impl CdTrainer {
         rng: &mut R,
     ) -> EpochStats {
         let mut velocity = Velocity::zeros(rbm);
-        epoch(rbm, data, batch_size, |rbm, _, batch| {
+        epoch(rbm, data, batch_size, |rbm, batch| {
             let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
             self.apply_gradients(rbm, batch, &phases, &mut velocity)
         })
@@ -170,7 +169,7 @@ impl CdTrainer {
         let mut rng = rng;
         let rng: &mut dyn RngCore = &mut rng;
         let mut velocity = Velocity::zeros(rbm);
-        epoch(rbm, data, batch_size, |rbm, _, batch| {
+        epoch(rbm, data, batch_size, |rbm, batch| {
             program(substrate, rbm);
             let clamped = substrate.quantize_batch(batch);
             let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
@@ -196,52 +195,8 @@ impl CdTrainer {
         S: Substrate + ?Sized,
         R: Rng + ?Sized,
     {
-        last_epoch(epochs, |_| {
+        last_epoch(epochs, || {
             self.train_epoch_with(rbm, data, batch_size, substrate, rng)
-        })
-    }
-
-    /// Parallel substrate epoch: each minibatch's rows are sharded into
-    /// `replicas` contiguous chunks, each chunk driven through its own
-    /// **clone** of the substrate (an ensemble of identically-programmed
-    /// machines, as a multi-instance deployment would be) on its own RNG
-    /// stream. Results depend on `replicas` but are **bit-identical at
-    /// every thread count** for a fixed master seed. Per-replica
-    /// hardware counters are merged back into `substrate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`CdTrainer::train_epoch_with`],
-    /// or if `replicas == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_epoch_par_with<S>(
-        &self,
-        rbm: &mut Rbm,
-        data: &Array2<f64>,
-        batch_size: usize,
-        substrate: &mut S,
-        replicas: usize,
-        streams: RngStreams,
-    ) -> EpochStats
-    where
-        S: Substrate + Clone + Send + Sync,
-    {
-        check_substrate(substrate, rbm);
-        let mut velocity = Velocity::zeros(rbm);
-        epoch(rbm, data, batch_size, |rbm, b, batch| {
-            program(substrate, rbm);
-            let clamped = substrate.quantize_batch(batch);
-            let phases = on_replicas(
-                substrate,
-                &clamped,
-                replicas,
-                streams.subfamily(b),
-                |replica, chunk, rng| {
-                    self.phases(chunk, |side, x| replica.sample_batch(side, x, rng))
-                },
-            );
-            count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
-            self.apply_gradients(rbm, batch, &phases, &mut velocity)
         })
     }
 
@@ -322,59 +277,6 @@ impl CdTrainer {
         (recon, grad_norm)
     }
 
-    /// Parallel epoch: the per-row positive/negative phases of every
-    /// minibatch run across the rayon pool, each row on its own RNG
-    /// stream (`streams.subfamily(batch).rng(row)`), so the trained model
-    /// is **bit-identical at every thread count** for a fixed master
-    /// seed. Gradients are accumulated with the same batched GEMM
-    /// formulation as the serial path.
-    ///
-    /// The streams are consumed deterministically per call: training for
-    /// several epochs must pass a **distinct subfamily per epoch**
-    /// (`streams.subfamily(epoch)`) — or use [`CdTrainer::train_par`],
-    /// which does so — otherwise every epoch replays the identical
-    /// sampling noise and the gradient noise never averages out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` width differs from the RBM's visible count or
-    /// `batch_size == 0`.
-    pub fn train_epoch_par(
-        &self,
-        rbm: &mut Rbm,
-        data: &Array2<f64>,
-        batch_size: usize,
-        streams: RngStreams,
-    ) -> EpochStats {
-        let mut velocity = Velocity::zeros(rbm);
-        epoch(rbm, data, batch_size, |rbm, b, batch| {
-            // One chunk per row: each row is an independent chain on its
-            // own stream.
-            let phases =
-                gibbs::on_chunks(batch, batch.nrows(), streams.subfamily(b), |row, rng| {
-                    self.phases(row, |side, x| exact_half(rbm, side, x, rng))
-                });
-            self.apply_gradients(rbm, batch, &phases, &mut velocity)
-        })
-    }
-
-    /// Parallel full training run: `epochs` epochs of
-    /// [`CdTrainer::train_epoch_par`], each on its own stream subfamily
-    /// (`streams.subfamily(epoch)`) so sampling noise is independent
-    /// across epochs. Returns the final epoch's statistics.
-    pub fn train_par(
-        &self,
-        rbm: &mut Rbm,
-        data: &Array2<f64>,
-        batch_size: usize,
-        epochs: usize,
-        streams: RngStreams,
-    ) -> EpochStats {
-        last_epoch(epochs, |e| {
-            self.train_epoch_par(rbm, data, batch_size, streams.subfamily(e))
-        })
-    }
-
     /// Convenience: full training run of `epochs` epochs; returns the final
     /// epoch's statistics.
     pub fn train<R: Rng + ?Sized>(
@@ -385,7 +287,7 @@ impl CdTrainer {
         epochs: usize,
         rng: &mut R,
     ) -> EpochStats {
-        last_epoch(epochs, |_| self.train_epoch(rbm, data, batch_size, rng))
+        last_epoch(epochs, || self.train_epoch(rbm, data, batch_size, rng))
     }
 }
 

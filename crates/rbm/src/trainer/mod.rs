@@ -2,23 +2,21 @@
 //! exact maximum-likelihood reference.
 //!
 //! The CD and PCD trainers additionally run over any
-//! [`ember_substrate::Substrate`] backend (`train_epoch_with` /
-//! `train_epoch_par_with`): the learning loop stays on the host, the
-//! conditional sampling is offloaded — the paper's §3.2 division of
-//! labor, with the substrate freely swappable.
+//! [`ember_substrate::Substrate`] backend (`train_epoch_with`): the
+//! learning loop stays on the host, the conditional sampling is
+//! offloaded — the paper's §3.2 division of labor, with the substrate
+//! freely swappable.
 //!
 //! Every CD and PCD epoch is the same minibatch loop (`epoch`): slice the
 //! next batch, draw the phases, update the weights on the host, and
 //! average the per-batch statistics. The entry points differ only in who
-//! draws the phases:
+//! draws the phases, always on the caller's one RNG:
 //!
-//! * the host's exact conditionals on one RNG (`train_epoch`);
+//! * the host's exact conditionals (`train_epoch`, and `train` for
+//!   several epochs);
 //! * a substrate, re-programmed before every batch and clamped with the
-//!   quantized data, on one RNG (`train_epoch_with`);
-//! * clones of that substrate, each on a contiguous chunk of the rows and
-//!   its own stream (`train_epoch_par_with`);
-//! * the host, one row per stream across the rayon pool
-//!   (`train_epoch_par`).
+//!   quantized data (`train_epoch_with`, and `train_with` for several
+//!   epochs).
 //!
 //! Each trainer writes its chain once (`phases`), generic over the
 //! half-step that draws one side given the other.
@@ -39,15 +37,13 @@ pub use cd::CdTrainer;
 pub use ml::MlTrainer;
 pub use pcd::PcdTrainer;
 
-use std::sync::Mutex;
-
 use ndarray::{s, Array2, ArrayView1};
-use rand::{Rng, RngCore};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ember_substrate::{HardwareCounters, Side, Substrate};
 
-use crate::{gibbs, Rbm, RngStreams};
+use crate::Rbm;
 
 /// Summary statistics of one training epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,8 +79,8 @@ impl EpochStats {
     }
 }
 
-/// One epoch: hands `step` each minibatch of `data` in order, with its
-/// index `b` (a trailing partial batch is used as-is), and averages the
+/// One epoch: hands `step` each minibatch of `data` in order (a trailing
+/// partial batch is used as-is), and averages the
 /// `(reconstruction error, gradient norm)` pairs it returns.
 ///
 /// # Panics
@@ -95,28 +91,28 @@ pub(crate) fn epoch(
     rbm: &mut Rbm,
     data: &Array2<f64>,
     batch_size: usize,
-    mut step: impl FnMut(&mut Rbm, u64, &Array2<f64>) -> (f64, f64),
+    mut step: impl FnMut(&mut Rbm, &Array2<f64>) -> (f64, f64),
 ) -> EpochStats {
     assert_eq!(data.ncols(), rbm.visible_len(), "data width mismatch");
     assert!(batch_size >= 1, "batch size must be positive");
     let rows = data.nrows();
     let mut stats = Vec::new();
-    for (b, start) in (0..rows).step_by(batch_size).enumerate() {
+    for start in (0..rows).step_by(batch_size) {
         let end = (start + batch_size).min(rows);
         let batch = data.slice(s![start..end, ..]).to_owned();
-        stats.push(step(rbm, b as u64, &batch));
+        stats.push(step(rbm, &batch));
     }
     EpochStats::accumulate(&stats)
 }
 
-/// Runs `f` for epochs `0..epochs` and returns the final epoch's
-/// statistics (all zero when `epochs == 0`).
-pub(crate) fn last_epoch(epochs: usize, mut f: impl FnMut(u64) -> EpochStats) -> EpochStats {
-    // A loop, not `(0..epochs).map(f).last()`: clippy rewrites that to
-    // `.next_back()`, which would train only the final epoch.
+/// Runs `f` once per epoch and returns the final epoch's statistics
+/// (all zero when `epochs == 0`).
+pub(crate) fn last_epoch(epochs: usize, mut f: impl FnMut() -> EpochStats) -> EpochStats {
+    // A loop, not `(0..epochs).map(|_| f()).last()`: clippy rewrites that
+    // to `.next_back()`, which would train only the final epoch.
     let mut last = EpochStats::accumulate(&[]);
-    for e in 0..epochs as u64 {
-        last = f(e);
+    for _ in 0..epochs {
+        last = f();
     }
     last
 }
@@ -260,45 +256,4 @@ pub(crate) fn gibbs_steps(
         h = half(Side::Hidden, &v);
     }
     [v, h]
-}
-
-/// Shards `rows` into `replicas` contiguous chunks whose sizes differ by
-/// at most one ([`gibbs::on_chunks`]), and runs `f` on chunk `c` through
-/// its own clone of `substrate` (an ensemble of identically-programmed
-/// machines) on stream `streams.rng(c)`. Returns `f`'s outputs with the
-/// chunks' rows back in place, and adds every replica's counters to
-/// `substrate`'s. Results depend on `replicas` but never on the thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if `replicas == 0`.
-pub(crate) fn on_replicas<S, const K: usize>(
-    substrate: &mut S,
-    rows: &Array2<f64>,
-    replicas: usize,
-    streams: RngStreams,
-    f: impl Fn(&mut S, &Array2<f64>, &mut dyn RngCore) -> [Array2<f64>; K] + Sync,
-) -> [Array2<f64>; K]
-where
-    S: Substrate + Clone + Send + Sync,
-{
-    assert!(replicas >= 1, "need at least one substrate replica");
-    let sub = &*substrate;
-    let merged = Mutex::new(HardwareCounters::new());
-    let out = gibbs::on_chunks(rows, replicas, streams, |chunk, rng| {
-        let mut replica = sub.clone();
-        *replica.counters_mut() = HardwareCounters::new();
-        let out = f(&mut replica, chunk, rng);
-        // Counters only add up, so the merge order does not matter.
-        merged
-            .lock()
-            .expect("counters lock")
-            .merge(replica.counters());
-        out
-    });
-    substrate
-        .counters_mut()
-        .merge(&merged.into_inner().expect("counters lock"));
-    out
 }

@@ -4,12 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use ember_substrate::{Side, Substrate};
 
-use crate::gibbs;
 use crate::trainer::{
-    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, on_replicas,
-    program, CoCounts, EpochStats,
+    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, program,
+    CoCounts, EpochStats,
 };
-use crate::{Rbm, RngStreams};
+use crate::Rbm;
 
 /// Persistent contrastive divergence (Tieleman 2008, cited as \[63\] for the
 /// BGF's particle persistence, §3.3).
@@ -95,7 +94,7 @@ impl PcdTrainer {
         batch_size: usize,
         rng: &mut R,
     ) -> EpochStats {
-        epoch(rbm, data, batch_size, |rbm, _, batch| {
+        epoch(rbm, data, batch_size, |rbm, batch| {
             let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
             self.apply_gradients(rbm, batch, phases)
         })
@@ -103,26 +102,17 @@ impl PcdTrainer {
 
     /// One minibatch's chains, generic over the half-step
     /// `half(side, clamp)`: `h⁺` from the clamped data, then the
-    /// persistent particles advance. Returns `[h⁺, v⁻, h⁻]`.
+    /// persistent particles advance (`h` from the particles, then `k`
+    /// full Gibbs steps). Returns `[h⁺, v⁻, h⁻]`.
     fn phases(
         &self,
         clamped: &Array2<f64>,
         mut half: impl FnMut(Side, &Array2<f64>) -> Array2<f64>,
     ) -> [Array2<f64>; 3] {
         let h_pos = half(Side::Hidden, clamped);
-        let [v_neg, h_neg] = self.advance(&self.particles_v, half);
+        let h = half(Side::Hidden, &self.particles_v);
+        let [v_neg, h_neg] = gibbs_steps(self.k, &h, half);
         [h_pos, v_neg, h_neg]
-    }
-
-    /// The negative phase: `h` from the persistent particles, then `k`
-    /// full Gibbs steps. Returns `[v⁻, h⁻]`.
-    fn advance(
-        &self,
-        particles: &Array2<f64>,
-        mut half: impl FnMut(Side, &Array2<f64>) -> Array2<f64>,
-    ) -> [Array2<f64>; 2] {
-        let h = half(Side::Hidden, particles);
-        gibbs_steps(self.k, &h, half)
     }
 
     /// Shared host-side gradient step: data statistics normalized by the
@@ -213,7 +203,7 @@ impl PcdTrainer {
         check_substrate(substrate, rbm);
         let mut rng = rng;
         let rng: &mut dyn RngCore = &mut rng;
-        epoch(rbm, data, batch_size, |rbm, _, batch| {
+        epoch(rbm, data, batch_size, |rbm, batch| {
             program(substrate, rbm);
             let clamped = substrate.quantize_batch(batch);
             let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
@@ -227,124 +217,6 @@ impl PcdTrainer {
         })
     }
 
-    /// Parallel substrate epoch: positive-phase rows and persistent
-    /// particles are sharded into `replicas` contiguous chunks, each
-    /// driven through its own **clone** of the substrate on its own RNG
-    /// stream (`subfamily(2b)` for the data, `subfamily(2b+1)` for the
-    /// particles, matching [`PcdTrainer::train_epoch_par`]'s layout).
-    /// Results depend on `replicas` but are bit-identical at every
-    /// thread count. Per-replica counters merge back into `substrate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`PcdTrainer::train_epoch_with`],
-    /// or if `replicas == 0`.
-    pub fn train_epoch_par_with<S>(
-        &mut self,
-        rbm: &mut Rbm,
-        data: &Array2<f64>,
-        batch_size: usize,
-        substrate: &mut S,
-        replicas: usize,
-        streams: RngStreams,
-    ) -> EpochStats
-    where
-        S: Substrate + Clone + Send + Sync,
-    {
-        check_substrate(substrate, rbm);
-        epoch(rbm, data, batch_size, |rbm, b, batch| {
-            program(substrate, rbm);
-            let clamped = substrate.quantize_batch(batch);
-            // Positive phase: replica c samples its row chunk.
-            let [h_pos] = on_replicas(
-                substrate,
-                &clamped,
-                replicas,
-                streams.subfamily(2 * b),
-                |replica, chunk, rng| [replica.sample_batch(Side::Hidden, chunk, rng)],
-            );
-            // Negative phase: replica c advances its particle chunk.
-            let [v_neg, h_neg] = on_replicas(
-                substrate,
-                &self.particles_v,
-                replicas,
-                streams.subfamily(2 * b + 1),
-                |replica, chunk, rng| {
-                    self.advance(chunk, |side, x| replica.sample_batch(side, x, rng))
-                },
-            );
-            count_minibatch(
-                substrate.counters_mut(),
-                rbm,
-                batch.nrows(),
-                self.particle_count(),
-            );
-            self.apply_gradients(rbm, batch, [h_pos, v_neg, h_neg])
-        })
-    }
-
-    /// Parallel epoch: positive-phase rows and persistent-particle chains
-    /// run across the rayon pool, each on its own RNG stream, so the
-    /// trained model and the particle set are **bit-identical at every
-    /// thread count** for a fixed master seed.
-    ///
-    /// Stream layout per minibatch `b`: `streams.subfamily(2b)` drives
-    /// the positive rows, `streams.subfamily(2b + 1)` the particles.
-    ///
-    /// The streams are consumed deterministically per call: training for
-    /// several epochs must pass a **distinct subfamily per epoch**
-    /// (`streams.subfamily(epoch)`) — or use [`PcdTrainer::train_par`] —
-    /// otherwise every epoch replays the identical sampling noise and
-    /// the persistent chains never mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` width differs from the RBM's visible count or
-    /// `batch_size == 0`.
-    pub fn train_epoch_par(
-        &mut self,
-        rbm: &mut Rbm,
-        data: &Array2<f64>,
-        batch_size: usize,
-        streams: RngStreams,
-    ) -> EpochStats {
-        epoch(rbm, data, batch_size, |rbm, b, batch| {
-            // Positive phase: one stream per data row.
-            let [h_pos] = gibbs::on_chunks(
-                batch,
-                batch.nrows(),
-                streams.subfamily(2 * b),
-                |row, rng| [exact_half(rbm, Side::Hidden, row, rng)],
-            );
-            // Negative phase: each persistent particle advances k steps on
-            // its own stream.
-            let [v_neg, h_neg] = gibbs::on_chunks(
-                &self.particles_v,
-                self.particle_count(),
-                streams.subfamily(2 * b + 1),
-                |row, rng| self.advance(row, |side, x| exact_half(rbm, side, x, rng)),
-            );
-            self.apply_gradients(rbm, batch, [h_pos, v_neg, h_neg])
-        })
-    }
-
-    /// Parallel full training run: `epochs` epochs of
-    /// [`PcdTrainer::train_epoch_par`], each on its own stream subfamily
-    /// so sampling noise is independent across epochs. Returns the final
-    /// epoch's statistics.
-    pub fn train_par(
-        &mut self,
-        rbm: &mut Rbm,
-        data: &Array2<f64>,
-        batch_size: usize,
-        epochs: usize,
-        streams: RngStreams,
-    ) -> EpochStats {
-        last_epoch(epochs, |e| {
-            self.train_epoch_par(rbm, data, batch_size, streams.subfamily(e))
-        })
-    }
-
     /// Full run of `epochs` epochs; returns the final epoch's statistics.
     pub fn train<R: Rng + ?Sized>(
         &mut self,
@@ -354,7 +226,7 @@ impl PcdTrainer {
         epochs: usize,
         rng: &mut R,
     ) -> EpochStats {
-        last_epoch(epochs, |_| self.train_epoch(rbm, data, batch_size, rng))
+        last_epoch(epochs, || self.train_epoch(rbm, data, batch_size, rng))
     }
 }
 

@@ -36,10 +36,10 @@ pub struct ChainRequest {
 }
 
 /// Expands a [`SampleRequest`] into its chain rows: chain `j` gets
-/// stream `RngStreams::new(master_seed).seed(j)` — the per-chain seed
-/// discipline of `ember_rbm::gibbs::sample_model_par`. `master_seed` is
-/// the request's seed (or the shard-lane seed assigned to a seedless
-/// request).
+/// stream `RngStreams::new(master_seed).seed(j)`, so every chain draws
+/// only from its own stream and its bits never depend on which other
+/// chains share its batch. `master_seed` is the request's seed (or the
+/// shard-lane seed assigned to a seedless request).
 pub fn expand_request(request: &SampleRequest, master_seed: u64) -> Vec<ChainRequest> {
     let streams = RngStreams::new(master_seed);
     (0..request.n_samples)

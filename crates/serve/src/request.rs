@@ -59,9 +59,8 @@ impl fmt::Display for Priority {
 ///
 /// Semantics: the request expands to [`SampleRequest::n_samples`]
 /// independent Gibbs chains. Chain `j` runs on its own deterministic RNG
-/// stream derived from the request seed (`RngStreams::new(seed).seed(j)`
-/// — the same per-chain discipline as `ember_rbm::gibbs::sample_model_par`),
-/// starts from [`SampleRequest::clamp`] (or a random visible state drawn
+/// stream derived from the request seed (`RngStreams::new(seed).seed(j)`;
+/// no chain draws from another chain's stream), starts from [`SampleRequest::clamp`] (or a random visible state drawn
 /// from the chain's stream), takes [`SampleRequest::gibbs_steps`] full
 /// Gibbs steps through the substrate, and contributes its final visible
 /// configuration as one row of the response.

@@ -24,7 +24,7 @@
 //! (clamp/anneal/read on the bipartite BRIM of Fig. 3), and
 //! `AnnealerSubstrate` (Metropolis sampling over the bipartite
 //! coupling). `ember_rbm`'s `CdTrainer`/`PcdTrainer` accept any of them
-//! through `train_epoch_with`/`train_epoch_par_with`.
+//! through `train_epoch_with`.
 //!
 //! The trait is object-safe: sampling takes `&mut dyn RngCore`, so a
 //! `Vec<Box<dyn Substrate>>` of heterogeneous backends can be driven by
