@@ -2,9 +2,10 @@
 //! disk must survive serde JSON serialization bit-exactly.
 
 use ember_analog::NoiseModel;
-use ember_core::{BgfConfig, GsConfig, HardwareCounters};
+use ember_core::{BgfConfig, GsConfig};
 use ember_ising::{BipartiteProblem, IsingProblem, SpinVec};
 use ember_rbm::{Dbn, Mlp, Rbm};
+use ember_substrate::HardwareCounters;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -3,8 +3,9 @@ use rand::Rng;
 
 use ember_analog::{Adc, ChargePump, Comparator, Dtc, VariationMap};
 use ember_rbm::Rbm;
+use ember_substrate::HardwareCounters;
 
-use crate::{AnalogSampler, BgfConfig, HardwareCounters};
+use crate::{AnalogSampler, BgfConfig};
 
 /// The Boltzmann gradient follower of §3.3: training happens entirely
 /// inside the augmented Ising substrate.

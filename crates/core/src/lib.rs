@@ -77,13 +77,3 @@ pub use sampler::AnalogSampler;
 pub use substrate::{
     AnnealerSubstrate, BrimSubstrate, ReplicableSubstrate, SoftwareGibbs, Substrate, SubstrateSpec,
 };
-
-// Deprecated compat re-export: `HardwareCounters` moved to
-// `ember_substrate` in PR 2 (so trainers can be generic over any
-// backend). Use the canonical `ember_substrate::HardwareCounters`
-// (also reachable as `ember::substrate::HardwareCounters` and
-// `ember_core::substrate::HardwareCounters`); this top-level alias is
-// hidden from the docs and kept only so pre-PR-2 downstream code keeps
-// compiling.
-#[doc(hidden)]
-pub use ember_substrate::HardwareCounters;
