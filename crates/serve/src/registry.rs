@@ -32,6 +32,21 @@ struct Entry {
     history: VecDeque<(u64, Arc<Rbm>)>,
 }
 
+impl Entry {
+    /// Publishes `rbm` as the next version: retires the current snapshot
+    /// into history (evicting the oldest beyond `history_limit`), bumps
+    /// the version and swaps. Returns the new version.
+    fn retire_and_swap(&mut self, rbm: Arc<Rbm>, history_limit: usize) -> u64 {
+        let displaced = std::mem::replace(&mut self.rbm, rbm);
+        self.history.push_back((self.version, displaced));
+        while self.history.len() > history_limit {
+            self.history.pop_front();
+        }
+        self.version += 1;
+        self.version
+    }
+}
+
 struct Inner {
     models: RwLock<BTreeMap<String, Entry>>,
     /// Called (outside the models lock) after every successful
@@ -199,8 +214,9 @@ impl ModelRegistry {
     /// Shared publish path over an already-shared snapshot: look up,
     /// optionally enforce the CAS base version, validate sizes, retire
     /// the current snapshot into history, swap — all under one write
-    /// lock. Rollback rides this same path with an `Arc` cloned out of
-    /// the history.
+    /// lock. Rollback rides the same retire-and-swap
+    /// (`Entry::retire_and_swap`) with an `Arc` cloned out of the
+    /// history.
     fn publish_arc(
         &self,
         name: &str,
@@ -232,14 +248,7 @@ impl ModelRegistry {
                     entry.rbm.hidden_len(),
                 )));
             }
-            let displaced = (entry.version, Arc::clone(&entry.rbm));
-            entry.history.push_back(displaced);
-            while entry.history.len() > self.inner.history_limit {
-                entry.history.pop_front();
-            }
-            entry.version += 1;
-            entry.rbm = rbm;
-            entry.version
+            entry.retire_and_swap(rbm, self.inner.history_limit)
         };
         self.notify(name, version);
         Ok(version)
@@ -276,14 +285,7 @@ impl ModelRegistry {
                         version,
                     })?
             };
-            let displaced = (entry.version, Arc::clone(&entry.rbm));
-            entry.history.push_back(displaced);
-            while entry.history.len() > self.inner.history_limit {
-                entry.history.pop_front();
-            }
-            entry.version += 1;
-            entry.rbm = target;
-            entry.version
+            entry.retire_and_swap(target, self.inner.history_limit)
         };
         self.notify(name, new_version);
         Ok(new_version)
