@@ -9,7 +9,9 @@
 //! * shutdown drains in-flight HTTP requests;
 //! * a train knob the trainer would reject is a `400`, not a dead worker;
 //! * a body nested past the JSON depth limit, or carrying a 1 MiB string,
-//!   is a prompt `400`, not a dead process or a held worker.
+//!   is a prompt `400`, not a dead process or a held worker;
+//! * a training number off the JSON grammar (`01`) is a `400`, not a
+//!   published version.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -509,6 +511,24 @@ fn non_finite_or_out_of_range_training_data_is_400() {
         path,
         r#"{"data": [[0, 1, 0, 1]], "seed": 2}"#,
     );
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
+    assert!(
+        answer.contains("X-Ember-Model-Version: 2\r\n"),
+        "{answer:?}"
+    );
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// A training number off the JSON grammar (RFC 8259 §6) is refused as
+/// JSON: `01` in `data` is a `400`, and no version is published.
+#[test]
+fn a_train_body_with_a_leading_zero_number_is_400() {
+    let server = Server::start("127.0.0.1:0", service_at(1, 47, 4, 3)).unwrap();
+    let path = "/v1/models/m/train";
+    let answer = post_raw(server.addr(), path, r#"{"data": [[0, 01, 0, 1]]}"#);
+    assert!(answer.starts_with("HTTP/1.1 400"), "{answer:?}");
+    assert!(answer.contains("invalid number `01`"), "{answer:?}");
+    let answer = post_raw(server.addr(), path, r#"{"data": [[0, 1, 0, 1]]}"#);
     assert!(answer.starts_with("HTTP/1.1 200"), "{answer:?}");
     assert!(
         answer.contains("X-Ember-Model-Version: 2\r\n"),
