@@ -5,9 +5,9 @@
 //! Markov chain with [`RngStreams`], and each chain consumes only its own
 //! stream. `ember_serve` seeds chain `j` of a sample request with
 //! `RngStreams::new(seed).seed(j)` and gives each worker shard its own
-//! lane, `subfamily(shard)`. Because no stream is shared across chains, a
-//! chain's bits never depend on how requests are coalesced, sharded or
-//! ordered — only on its own stream.
+//! lane, `subfamily(shard)`. Because no stream is shared across chains,
+//! the random numbers a chain sees never depend on how requests are
+//! coalesced, sharded or ordered.
 //!
 //! Streams are derived with SplitMix64 finalization over
 //! `master ⊕ f(index)`, the standard recipe for splitting one seed into
