@@ -68,24 +68,6 @@ impl Comparator {
         let reference = noise.sample_unit(rng);
         probability + self.offset > reference
     }
-
-    /// Samples a whole layer at once: `out[i] = sample(probs[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn sample_slice<R: Rng + ?Sized>(
-        &self,
-        probs: &[f64],
-        noise: &ThermalRng,
-        rng: &mut R,
-        out: &mut [bool],
-    ) {
-        assert_eq!(probs.len(), out.len(), "output slice length mismatch");
-        for (o, &p) in out.iter_mut().zip(probs) {
-            *o = self.sample(p, noise, rng);
-        }
-    }
 }
 
 impl Default for Comparator {
@@ -137,17 +119,5 @@ mod tests {
     #[test]
     fn rejects_huge_offset() {
         assert!(Comparator::with_offset(0.9).is_err());
-    }
-
-    #[test]
-    fn slice_sampling_shapes() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let cmp = Comparator::ideal();
-        let noise = ThermalRng::default();
-        let probs = [0.0, 1.0, 0.5];
-        let mut out = [false; 3];
-        cmp.sample_slice(&probs, &noise, &mut rng, &mut out);
-        assert!(!out[0]);
-        assert!(out[1]);
     }
 }

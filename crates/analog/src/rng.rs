@@ -84,6 +84,12 @@ impl ThermalRng {
         self.swing
     }
 
+    /// The Gaussian share of the noise profile: at `0.0` each reference
+    /// is one uniform draw, which takes exactly one `next_u64`.
+    pub fn gaussian_fraction(&self) -> f64 {
+        self.gaussian_fraction
+    }
+
     /// Draws one random reference voltage in `[Vcm − swing, Vcm + swing]`.
     #[inline]
     pub fn sample_voltage<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {

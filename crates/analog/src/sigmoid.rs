@@ -48,13 +48,19 @@ impl SigmoidUnit {
     ///
     /// # Errors
     ///
-    /// * [`AnalogError::InvalidParameter`] if `gain ≤ 0`, or `saturation`
-    ///   is outside `[0, 0.5)`.
+    /// * [`AnalogError::InvalidParameter`] if `gain ≤ 0`, `gain` or
+    ///   `threshold` is not finite, or `saturation` is outside `[0, 0.5)`.
     pub fn new(gain: f64, threshold: f64, saturation: f64) -> Result<Self, AnalogError> {
         if gain <= 0.0 || !gain.is_finite() {
             return Err(AnalogError::InvalidParameter {
                 name: "gain",
                 reason: "must be positive and finite",
+            });
+        }
+        if !threshold.is_finite() {
+            return Err(AnalogError::InvalidParameter {
+                name: "threshold",
+                reason: "must be finite",
             });
         }
         if !(0.0..0.5).contains(&saturation) {
@@ -80,6 +86,11 @@ impl SigmoidUnit {
         self.threshold
     }
 
+    /// The fraction of the output range lost to early rail clipping.
+    pub fn saturation(&self) -> f64 {
+        self.saturation
+    }
+
     /// The transfer function: logistic response clipped to the rails.
     ///
     /// Input is the summed node current (in normalized units); output is a
@@ -92,14 +103,6 @@ impl SigmoidUnit {
         // Early rail clipping: rescale so [sat, 1-sat] maps onto [0, 1].
         let stretched = (ideal - self.saturation) / (1.0 - 2.0 * self.saturation);
         stretched.clamp(0.0, VDD)
-    }
-
-    /// Applies the transfer function element-wise.
-    pub fn transfer_slice(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "output slice length mismatch");
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = self.transfer(x);
-        }
     }
 
     /// Maximum absolute deviation from the ideal logistic over `[-8, 8]`,
@@ -192,13 +195,17 @@ mod tests {
     }
 
     #[test]
-    fn transfer_slice_matches_scalar() {
-        let s = SigmoidUnit::new(1.5, 0.2, 0.01).unwrap();
-        let xs = [-2.0, 0.0, 2.0];
-        let mut out = [0.0; 3];
-        s.transfer_slice(&xs, &mut out);
-        for (o, &x) in out.iter().zip(&xs) {
-            assert_eq!(*o, s.transfer(x));
+    fn rejects_a_threshold_that_is_not_finite() {
+        // NaN would never fire; ±inf would pin the unit off or on.
+        for threshold in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                SigmoidUnit::new(1.0, threshold, 0.0),
+                Err(AnalogError::InvalidParameter {
+                    name: "threshold",
+                    reason: "must be finite",
+                }),
+                "threshold {threshold}"
+            );
         }
     }
 }

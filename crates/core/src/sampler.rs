@@ -1,5 +1,6 @@
+use ndarray::simd::{latch_certified, LatchBound};
 use ndarray::{Array1, Array2, ArrayView1};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use ember_analog::{Comparator, NoiseModel, SigmoidUnit, ThermalRng};
@@ -180,12 +181,44 @@ impl AnalogSampler {
     /// `i`'s bits depend only on (weights, bias, row `i`, `rngs[i]`):
     /// the same whether the row is sampled alone or coalesced into any
     /// batch.
-    pub(crate) fn latch(
+    ///
+    /// # The decision rule
+    ///
+    /// A latch fires when `transfer(x) + offset > reference`, and only
+    /// that sign is needed. With a uniform thermal profile each
+    /// reference is one 64-bit word, so a row's words come from one
+    /// [`RngCore::fill_u64`] per 64 elements: the words, and their order,
+    /// that one draw per element would take. [`latch_certified`] then
+    /// decides every element whose level `q + offset`, from a polynomial
+    /// `q ≈ transfer(x)`, is more than a margin `M` from the reference;
+    /// the rest take the exact `transfer` and comparator, fed the same
+    /// word. The margin, derived at [`LatchBound`], is
+    ///
+    /// `M = (η(1 + 4η)/2 + 16u)/(1 − 2s) + 4u`,
+    ///
+    /// with `η = 7.4·10⁻⁹` the proven relative error of the polynomial
+    /// `exp` (degree-7 Taylor after `ln 2` range reduction), `u = 2⁻⁵³`
+    /// and `s` the saturation: the logistic turns a relative error `η`
+    /// in `exp` (the polynomial's and, as assumed, the library's) into
+    /// at most `η/2` absolute, the saturation stretch multiplies that by
+    /// `1/(1 − 2s)`, and the `u` terms cover every rounding on the way
+    /// to the comparison. So each decided bit is the exact comparator's,
+    /// and about `2M` of the elements fall back: under 10⁻⁸ of them for
+    /// an unsaturated unit, `1/(1 − 2s)` times that for a saturated one.
+    ///
+    /// Every element takes the exact path where no certificate applies:
+    /// non-finite fields and `|z| > 700`; unit, comparator or reference
+    /// parameters outside the ranges their constructors validate (a
+    /// deserialized config skips those checks); and every element on
+    /// the scalar and NEON tiers. A Gaussian thermal profile draws a
+    /// varying number of words per reference, so it draws each one from
+    /// the stream as the comparator asks.
+    pub fn latch(
         &self,
         fields: &mut Array2<f64>,
         bias: &ArrayView1<'_, f64>,
         var_coupler: Option<&Array2<f64>>,
-        rngs: &mut [&mut dyn rand::RngCore],
+        rngs: &mut [&mut dyn RngCore],
     ) {
         let shared = rngs.len() == 1;
         let stream = |i: usize| if shared { 0 } else { i };
@@ -203,20 +236,74 @@ impl AnalogSampler {
                 }
             }
         }
+        let certificate = self.certificate();
+        let mut words = [0u64; 64];
         for (i, mut row) in fields.axis_iter_mut(ndarray::Axis(0)).enumerate() {
             if var_coupler.is_none() {
                 row += bias;
             }
             let rng = &mut *rngs[stream(i)];
-            for f in row.iter_mut() {
-                let p = self.sigmoid.transfer(*f);
-                *f = if self.comparator.sample(p, &self.thermal, rng) {
-                    1.0
-                } else {
-                    0.0
-                };
+            let Some(bound) = &certificate else {
+                for f in row.iter_mut() {
+                    *f = self.exact_latch(*f, rng);
+                }
+                continue;
+            };
+            let row = row.into_slice().expect("a row view is contiguous");
+            for chunk in row.chunks_mut(words.len()) {
+                let words = &mut words[..chunk.len()];
+                rng.fill_u64(words);
+                let mut undecided = latch_certified(chunk, words, bound);
+                while undecided != 0 {
+                    let k = undecided.trailing_zeros() as usize;
+                    undecided &= undecided - 1;
+                    chunk[k] = self.exact_latch(chunk[k], &mut Prefetched(Some(words[k])));
+                }
             }
         }
+    }
+
+    /// The certificate of this front end's latches, or `None` where a
+    /// reference is not exactly one word or a component lies outside
+    /// the range the proof covers.
+    fn certificate(&self) -> Option<LatchBound> {
+        if self.thermal.gaussian_fraction() != 0.0 {
+            return None;
+        }
+        LatchBound::new(
+            self.sigmoid.gain(),
+            self.sigmoid.threshold(),
+            self.sigmoid.saturation(),
+            self.comparator.offset(),
+            self.thermal.swing(),
+        )
+    }
+
+    /// The exact node: `transfer`, then the comparator against one
+    /// reference drawn from `rng`.
+    fn exact_latch<R: RngCore + ?Sized>(&self, field: f64, rng: &mut R) -> f64 {
+        let p = self.sigmoid.transfer(field);
+        if self.comparator.sample(p, &self.thermal, rng) {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// A reference word already drawn from the stream, handed to the
+/// comparator as the one `next_u64` a uniform reference takes.
+struct Prefetched(Option<u64>);
+
+impl RngCore for Prefetched {
+    fn next_u32(&mut self) -> u32 {
+        unreachable!("a uniform reference draws one 64-bit word")
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0.take().expect("a uniform reference draws one word")
+    }
+    fn fill_bytes(&mut self, _: &mut [u8]) {
+        unreachable!("a uniform reference draws one 64-bit word")
     }
 }
 

@@ -53,24 +53,6 @@ pub fn chain<R: Rng + ?Sized>(
     (v, h)
 }
 
-/// Batched `k`-step Gibbs chain: rows of `v0` evolve independently.
-/// Returns `(v⁻, h⁻)` matrices of shapes `(batch, m)` / `(batch, n)`.
-pub fn chain_batch<R: Rng + ?Sized>(
-    rbm: &Rbm,
-    v0: &Array2<f64>,
-    k: usize,
-    rng: &mut R,
-) -> (Array2<f64>, Array2<f64>) {
-    assert!(k >= 1, "chain length must be at least 1");
-    let mut h = Rbm::sample_batch(&rbm.hidden_probs_batch(v0), rng);
-    let mut v = v0.clone();
-    for _ in 0..k {
-        v = Rbm::sample_batch(&rbm.visible_probs_batch(&h), rng);
-        h = Rbm::sample_batch(&rbm.hidden_probs_batch(&v), rng);
-    }
-    (v, h)
-}
-
 /// Draws `count` approximate samples of `P(v)` by running one long chain
 /// with `burn_in` steps of equilibration and `thin` steps between samples.
 pub fn sample_model<R: Rng + ?Sized>(
@@ -117,16 +99,6 @@ mod tests {
         let (v, h) = chain(&rbm, &v0, 3, &mut rng);
         assert!(v.iter().all(|&x| x == 0.0 || x == 1.0));
         assert!(h.iter().all(|&x| x == 0.0 || x == 1.0));
-    }
-
-    #[test]
-    fn batch_chain_shapes() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let rbm = Rbm::random(6, 3, 0.3, &mut rng);
-        let v0 = Array2::zeros((5, 6));
-        let (v, h) = chain_batch(&rbm, &v0, 2, &mut rng);
-        assert_eq!(v.dim(), (5, 6));
-        assert_eq!(h.dim(), (5, 3));
     }
 
     #[test]
