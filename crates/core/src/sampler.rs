@@ -65,6 +65,15 @@ impl AnalogSampler {
         }
     }
 
+    /// Returns a copy whose comparators draw their references from
+    /// `thermal` (swing and noise profile) instead of the full-swing
+    /// uniform default.
+    #[must_use]
+    pub fn with_thermal(mut self, thermal: ThermalRng) -> Self {
+        self.thermal = thermal;
+        self
+    }
+
     /// The configured noise model.
     pub fn noise(&self) -> NoiseModel {
         self.noise

@@ -9,8 +9,10 @@
 //!   the exact comparator's.
 //! * A proptest runs the latch against a copy of the loop it replaced
 //!   (the exact `transfer` and one comparator draw per element) over
-//!   random units, special fields, both RNG disciplines and a noisy
-//!   front end: the same bits, and every stream left in the same state.
+//!   random units, special fields, both RNG disciplines, a noisy front
+//!   end and random thermal references (any swing in (0, 0.5], uniform
+//!   or with a Gaussian share): the same bits, and every stream left in
+//!   the same state.
 //!
 //! Both hold on every SIMD tier; CI runs this file optimized normally
 //! and with `EMBER_FORCE_SCALAR=1`.
@@ -144,14 +146,13 @@ fn references_at_the_threshold_take_the_exact_path() {
 /// The latch as it was before the certificate: the exact `transfer` and
 /// one comparator draw per element.
 fn latch_element_by_element(
-    front: (SigmoidUnit, Comparator, NoiseModel),
+    front: (SigmoidUnit, Comparator, ThermalRng, NoiseModel),
     fields: &mut Array2<f64>,
     bias: &Array1<f64>,
     var_coupler: Option<&Array2<f64>>,
     rngs: &mut [&mut dyn RngCore],
 ) {
-    let (sigmoid, comparator, noise) = front;
-    let thermal = ThermalRng::default();
+    let (sigmoid, comparator, thermal, noise) = front;
     let shared = rngs.len() == 1;
     let stream = |i: usize| if shared { 0 } else { i };
     if let Some(var) = var_coupler {
@@ -219,6 +220,7 @@ proptest! {
         noise_rms in 0.0f64..0.3,
         switches in (any::<bool>(), any::<bool>()),
         seed in any::<u64>(),
+        reference in (0u8..4, 0.001f64..=0.5, 0.01f64..=1.0),
     ) {
         let (gain, threshold, saturation) = unit;
         let (rows, cols) = shape;
@@ -226,7 +228,17 @@ proptest! {
         let sigmoid = SigmoidUnit::new(gain, threshold, saturation).unwrap();
         let comparator = Comparator::with_offset(offset).unwrap();
         let noise = NoiseModel::new(0.0, if noisy { noise_rms } else { 0.0 }).unwrap();
-        let sampler = AnalogSampler::new(sigmoid, comparator, noise);
+        // A quarter of the cases keep the default full-swing uniform
+        // reference, half draw a uniform one of any swing (the
+        // certificate at a swing that need not be a power of two), and
+        // a quarter blend in a Gaussian share (every draw exact).
+        let (kind, swing, gaussian) = reference;
+        let thermal = match kind {
+            0 => ThermalRng::default(),
+            1 | 2 => ThermalRng::new(swing),
+            _ => ThermalRng::with_profile(swing, gaussian).unwrap(),
+        };
+        let sampler = AnalogSampler::new(sigmoid, comparator, noise).with_thermal(thermal);
 
         let start = fields(rows, cols, (gain, threshold), seed);
         let mut gen = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -245,7 +257,7 @@ proptest! {
         let mut theirs = streams.clone();
         let mut rngs: Vec<&mut dyn RngCore> = theirs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
         latch_element_by_element(
-            (sigmoid, comparator, noise),
+            (sigmoid, comparator, thermal, noise),
             &mut expected,
             &bias,
             var.as_ref(),
@@ -256,8 +268,8 @@ proptest! {
         prop_assert_eq!(
             bits(&latched),
             bits(&expected),
-            "unit {:?}, offset {}, shape {:?}, noisy {}, shared {}",
-            unit, offset, shape, noisy, shared
+            "unit {:?}, offset {}, shape {:?}, noisy {}, shared {}, reference {:?}",
+            unit, offset, shape, noisy, shared, thermal
         );
         prop_assert_eq!(ours, theirs, "the streams end in different states");
     }

@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 use ember_substrate::{Side, Substrate};
 
 use crate::trainer::{
-    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, program,
-    CoCounts, EpochStats,
+    check_substrate, clamped_batch, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch,
+    program, CoCounts, EpochStats,
 };
 use crate::Rbm;
 
@@ -171,7 +171,7 @@ impl CdTrainer {
         let mut velocity = Velocity::zeros(rbm);
         epoch(rbm, data, batch_size, |rbm, batch| {
             program(substrate, rbm);
-            let clamped = substrate.quantize_batch(batch);
+            let clamped = clamped_batch(substrate, batch);
             let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
             count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
             self.apply_gradients(rbm, batch, &phases, &mut velocity)

@@ -37,6 +37,8 @@ pub use cd::CdTrainer;
 pub use ml::MlTrainer;
 pub use pcd::PcdTrainer;
 
+use std::borrow::Cow;
+
 use ndarray::{s, Array2, ArrayView1};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -138,6 +140,21 @@ pub(crate) fn program<S: Substrate + ?Sized>(substrate: &mut S, rbm: &Rbm) {
         &rbm.visible_bias().view(),
         &rbm.hidden_bias().view(),
     );
+}
+
+/// §3.2 step 3: the minibatch as the substrate's clamp units drive it.
+/// An exactly binary batch (bitwise `+0.0` and `1.0`) is clamped as it
+/// is, without the copy and scan of `quantize_batch`, which is the
+/// identity there by contract.
+pub(crate) fn clamped_batch<'a, S: Substrate + ?Sized>(
+    substrate: &S,
+    batch: &'a Array2<f64>,
+) -> Cow<'a, Array2<f64>> {
+    if binary(batch) {
+        Cow::Borrowed(batch)
+    } else {
+        Cow::Owned(substrate.quantize_batch(batch))
+    }
 }
 
 /// The host's share of one offloaded minibatch: `positives` data rows

@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 use ember_substrate::{Side, Substrate};
 
 use crate::trainer::{
-    check_substrate, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch, program,
-    CoCounts, EpochStats,
+    check_substrate, clamped_batch, count_minibatch, epoch, exact_half, gibbs_steps, last_epoch,
+    program, CoCounts, EpochStats,
 };
 use crate::Rbm;
 
@@ -205,7 +205,7 @@ impl PcdTrainer {
         let rng: &mut dyn RngCore = &mut rng;
         epoch(rbm, data, batch_size, |rbm, batch| {
             program(substrate, rbm);
-            let clamped = substrate.quantize_batch(batch);
+            let clamped = clamped_batch(substrate, batch);
             let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
             count_minibatch(
                 substrate.counters_mut(),

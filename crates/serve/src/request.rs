@@ -181,6 +181,13 @@ pub struct SampleResponse {
     /// Hardware-event delta of the coalesced execution this request rode
     /// in (the *whole group's* events — prorate by
     /// `samples.nrows() / coalesced_rows` for a per-request estimate).
+    ///
+    /// A group large enough to split across the shard's cores (see
+    /// [`ServiceBuilder::shards`](crate::ServiceBuilder::shards)) counts
+    /// the same phase points, words and samples as one serial run, but
+    /// the per-call kernel counters (`packed_kernel_calls`,
+    /// `dense_kernel_calls`, `simd_kernel_calls`) count one substrate
+    /// call per worker per half-step.
     pub counters: HardwareCounters,
     /// Index of the worker shard that executed the request.
     pub shard: usize,

@@ -57,6 +57,13 @@ impl ServiceBuilder {
     /// Number of worker shards (threads), each owning its own substrate
     /// replicas.
     ///
+    /// Each shard may use `max(1, cores / shards)` of the host's cores,
+    /// with `cores` its `std::thread::available_parallelism`: a
+    /// coalesced group large enough to pay for the threads runs its
+    /// rows on that many, with the bits of one thread (see the
+    /// [`batch`](crate::batch) module). So one shard on two cores splits
+    /// a large group two ways, and two shards on two cores never split.
+    ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
@@ -181,6 +188,7 @@ impl ServiceBuilder {
                 failures: HashMap::new(),
             }),
             prototypes: Mutex::new(HashMap::new()),
+            shards: self.shards,
             queue_rows: self.queue_rows,
             max_coalesce_rows: self.max_coalesce_rows,
             coalesce_window: self.coalesce_window,
@@ -283,12 +291,15 @@ pub struct DrainReport {
 ///   channels.
 /// * An idle shard pops the queue head and **coalesces** every other
 ///   pending sample request with the same `(model, gibbs_steps)` key
-///   into one batched kernel call
+///   into one batched chain run
 ///   ([`batch::try_sample_rows`]) — the serving-side analogue of the
 ///   paper's per-minibatch §3.2 operation list: program once, quantize
 ///   once, whole-batch conditional samples, scatter rows back to
 ///   callers. Chains carry per-row RNG streams, so coalescing, sharding,
-///   and scheduling are invisible in the sampled bits.
+///   and scheduling are invisible in the sampled bits. On an
+///   infallible backend a group large enough to pay for it runs its
+///   rows on the shard's share of the cores
+///   ([`ServiceBuilder::shards`]), with the same bits.
 /// * Programming is counted **per coalesced group**, not per request:
 ///   analog coupling weights live on leaky gate charges, so every job
 ///   is charged a re-programming of its replica (the paper's
@@ -304,9 +315,11 @@ pub struct DrainReport {
 /// The substrate is *analog hardware* and treated as fallible
 /// throughout:
 ///
-/// * Every group runs through the fallible seam (`try_program` /
-///   `try_sample_batch_rows`), with readback-checksum verification of
-///   programmings and a binary sanity screen on every sampled batch.
+/// * Every group programs through the fallible seam (`try_program`),
+///   with readback-checksum verification. A fallible backend's group
+///   samples through it too (`try_sample_batch_rows`), with a binary
+///   sanity screen on every sampled batch; an infallible backend's
+///   reads cannot fault, so they skip the screen.
 /// * A faulted group is **reprogrammed and retried** under the
 ///   builder's [`RetryPolicy`] (volatile weights: the upset that broke
 ///   the read may have disturbed the couplings). Retries recreate every
@@ -925,6 +938,9 @@ struct Core {
     /// Retained prototype per model, for re-provisioning a restarted
     /// shard.
     prototypes: Mutex<HashMap<String, Box<dyn ReplicableSubstrate>>>,
+    /// Worker shards: each may split a group across its share of the
+    /// cores ([`batch::cores_per_shard`]).
+    shards: usize,
     queue_rows: usize,
     max_coalesce_rows: usize,
     coalesce_window: Duration,
@@ -935,6 +951,7 @@ struct Core {
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
+            .field("shards", &self.shards)
             .field("queue_rows", &self.queue_rows)
             .field("max_coalesce_rows", &self.max_coalesce_rows)
             .field("coalesce_window", &self.coalesce_window)
@@ -1098,26 +1115,25 @@ impl Programmed {
     }
 
     /// Runs one coalesced group: programs the snapshot, samples `rows`
-    /// through the fallible seam ([`batch::try_sample_rows`]) and, after
-    /// a fault, re-programs and re-samples under `policy` — the volatile
-    /// couplings are assumed disturbed, and the chains restart from
-    /// their seeds, so a successful retry is bit-identical to a
-    /// fault-free run. Returns the outcome and the counters the group
-    /// spent, retries included.
+    /// ([`Programmed::sample`]) and, after a fault, re-programs and
+    /// re-samples under `policy` — the volatile couplings are assumed
+    /// disturbed, and the chains restart from their seeds, so a
+    /// successful retry is bit-identical to a fault-free run. Returns
+    /// the outcome and the counters the group spent, retries included.
     fn run(
         &mut self,
         snapshot: &ModelSnapshot,
         rows: &[ChainRequest],
         gibbs_steps: usize,
         policy: &RetryPolicy,
-        backoff_rng: &mut StdRng,
+        runner: &mut GroupRunner,
     ) -> (Result<Array2<f64>, SubstrateFault>, HardwareCounters) {
         let before = *self.substrate.counters();
         let mut retries = 0u32;
         let outcome = loop {
             let attempt = self
                 .program(snapshot)
-                .and_then(|()| batch::try_sample_rows(&mut *self.substrate, rows, gibbs_steps));
+                .and_then(|()| self.sample(rows, gibbs_steps, &mut runner.pool));
             let fault = match attempt {
                 Ok(samples) => break Ok(samples),
                 Err(fault) => fault,
@@ -1128,10 +1144,36 @@ impl Programmed {
             }
             retries += 1;
             self.substrate.counters_mut().recovery_retries += 1;
-            std::thread::sleep(policy.backoff(retries, backoff_rng));
+            std::thread::sleep(policy.backoff(retries, &mut runner.backoff_rng));
         };
         (outcome, self.substrate.counters().delta_since(&before))
     }
+
+    /// Samples `rows` on the programmed substrate. A fallible backend
+    /// reads through the fallible seam and its screens, serially
+    /// ([`batch::try_sample_rows`]). An infallible one splits the rows
+    /// across the shard's cores when the group's work pays for it
+    /// ([`batch::SplitPool`]).
+    fn sample(
+        &mut self,
+        rows: &[ChainRequest],
+        gibbs_steps: usize,
+        pool: &mut batch::SplitPool,
+    ) -> Result<Array2<f64>, SubstrateFault> {
+        let substrate = &mut *self.substrate;
+        if substrate.is_fallible() {
+            return batch::try_sample_rows(substrate, rows, gibbs_steps);
+        }
+        Ok(pool.sample_rows(substrate, rows, gibbs_steps))
+    }
+}
+
+/// What a shard runs its groups with besides their replicas: the jitter
+/// stream of its retry backoff, and the helper threads that a large
+/// group splits across.
+struct GroupRunner {
+    backoff_rng: StdRng,
+    pool: batch::SplitPool,
 }
 
 /// One forward pass over `lane` (O(n), done while holding the service
@@ -1272,7 +1314,10 @@ fn run_shard(core: &Core, registry: &ModelRegistry, shard: usize, lane: RngStrea
     // Backoff jitter draws from a dedicated stream far outside the
     // request-seeding sequence, so fault recovery never perturbs the
     // seeds handed to seedless requests.
-    let mut backoff_rng = StdRng::seed_from_u64(lane.seed(u64::MAX));
+    let mut runner = GroupRunner {
+        backoff_rng: StdRng::seed_from_u64(lane.seed(u64::MAX)),
+        pool: batch::SplitPool::new(shard, core.shards),
+    };
     let mut lane_next: u64 = 0;
     let mut lane_seed = move || {
         let seed = lane.seed(lane_next);
@@ -1296,7 +1341,7 @@ fn run_shard(core: &Core, registry: &ModelRegistry, shard: usize, lane: RngStrea
                         replicas,
                         &members,
                         &mut lane_seed,
-                        &mut backoff_rng,
+                        &mut runner,
                     )
                 })
                 .unwrap_or_else(|| {
@@ -1381,7 +1426,7 @@ fn serve_sample_group(
     replicas: &mut HashMap<String, Replica>,
     members: &[QueuedSample],
     lane_seed: &mut impl FnMut() -> u64,
-    backoff_rng: &mut StdRng,
+    runner: &mut GroupRunner,
 ) -> Vec<Result<SampleResponse, ServeError>> {
     let started = Instant::now();
     let model = members[0].request.model.clone();
@@ -1439,13 +1484,8 @@ fn serve_sample_group(
     } else {
         &mut replica.primary
     };
-    let (outcome, delta) = programmed.run(
-        &snapshot,
-        &rows,
-        gibbs_steps,
-        &core.retry_policy,
-        backoff_rng,
-    );
+    let (outcome, delta) =
+        programmed.run(&snapshot, &rows, gibbs_steps, &core.retry_policy, runner);
 
     // Account first, reply second: once a caller holds its response,
     // `SamplingService::stats` already reflects the work it paid for.

@@ -4,6 +4,16 @@ use serde::{Deserialize, Serialize};
 /// execution time and energy (§4.2–4.3).
 ///
 /// All counts are cumulative since construction of the owning accelerator.
+///
+/// The per-call counters (`packed_kernel_calls`, `dense_kernel_calls`,
+/// `simd_kernel_calls`) count calls across the [`Substrate`] trait
+/// boundary. A caller that splits one batch's rows across several
+/// replicas (the serving layer runs a large coalesced group on a
+/// shard's share of the cores) makes one call per replica per
+/// half-step, so they count every one; the other counters add up to
+/// those of one call over the whole batch.
+///
+/// [`Substrate`]: crate::Substrate
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HardwareCounters {
     /// Positive-phase samples taken (one per training vector).
