@@ -8,7 +8,9 @@
 //! backend, it trains a 13×6 model on 23 rows in minibatches of 5 (so
 //! every epoch ends on a partial batch), on binary and on gray data, and
 //! folds FNV-1a over the weight and bias bits, every `EpochStats` field,
-//! the PCD particles and every `HardwareCounters` field.
+//! the PCD particles and every `HardwareCounters` field. One more case
+//! runs the service's trainer as a training request does: CD-1 with no
+//! momentum, in minibatches of 16.
 //!
 //! Any change to a sampled bit, to the order in which a trainer draws
 //! from its RNG, to the minibatch slicing, to the gradient
@@ -193,14 +195,19 @@ fn cd_host() -> u64 {
 /// CD offloaded to `sub`: one `train_epoch_with`, then two epochs of
 /// `train_with` on the same RNG.
 fn cd_with<S: Substrate>(make: impl Fn(&Rbm) -> S) -> u64 {
+    cd_on(cd(), BATCH, make)
+}
+
+/// [`cd_with`] for any trainer and minibatch size.
+fn cd_on<S: Substrate>(trainer: CdTrainer, batch: usize, make: impl Fn(&Rbm) -> S) -> u64 {
     digest(|d, data| {
         let mut rbm = model();
         let mut sub = make(&rbm);
         let mut rng = StdRng::seed_from_u64(3);
-        d.stats(cd().train_epoch_with(&mut rbm, data, BATCH, &mut sub, &mut rng));
+        d.stats(trainer.train_epoch_with(&mut rbm, data, batch, &mut sub, &mut rng));
         d.rbm(&rbm);
         d.counters(sub.counters());
-        d.stats(cd().train_with(&mut rbm, data, BATCH, &mut sub, 2, &mut rng));
+        d.stats(trainer.train_with(&mut rbm, data, batch, &mut sub, 2, &mut rng));
         d.rbm(&rbm);
         d.counters(sub.counters());
     })
@@ -278,8 +285,17 @@ fn every_trainer_keeps_its_bits_and_counters() {
                 GibbsSampler::with_substrate(rbm, config, sub)
             }),
         ),
+        // The service's trainer (`TrainRequest::new`): CD-1 with no
+        // momentum or weight decay, in minibatches of 16 (one full and
+        // a partial of 7), on the packed software substrate.
+        (
+            "cd service",
+            cd_on(CdTrainer::new(1, 0.05), 16, |_| {
+                software(&GsConfig::default())
+            }),
+        ),
     ];
-    let expected: [u64; 12] = [
+    let expected: [u64; 13] = [
         0x7454_4c0f_254f_cc00,
         0x03d2_a908_de7a_653e,
         0x30e8_a876_bb53_3c5c,
@@ -292,6 +308,7 @@ fn every_trainer_keeps_its_bits_and_counters() {
         0x02c4_06fa_bb38_451f,
         0x5049_6c1b_d5ea_61f3,
         0x680b_0bba_9041_67b0,
+        0x426d_f78d_739a_8287,
     ];
     let actual: Vec<u64> = digests.iter().map(|&(_, x)| x).collect();
     for ((name, got), want) in digests.iter().zip(expected) {
