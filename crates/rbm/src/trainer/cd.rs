@@ -114,11 +114,7 @@ impl CdTrainer {
         batch_size: usize,
         rng: &mut R,
     ) -> EpochStats {
-        let mut velocity = Velocity::zeros(rbm);
-        epoch(rbm, data, batch_size, |rbm, batch| {
-            let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
-            self.apply_gradients(rbm, batch, &phases, &mut velocity)
-        })
+        self.train(rbm, data, batch_size, 1, rng)
     }
 
     /// One minibatch's chain (lines 9–15 of Algorithm 1), generic over
@@ -165,17 +161,7 @@ impl CdTrainer {
         S: Substrate + ?Sized,
         R: Rng + ?Sized,
     {
-        check_substrate(substrate, rbm);
-        let mut rng = rng;
-        let rng: &mut dyn RngCore = &mut rng;
-        let mut velocity = Velocity::zeros(rbm);
-        epoch(rbm, data, batch_size, |rbm, batch| {
-            program(substrate, rbm);
-            let clamped = clamped_batch(substrate, batch);
-            let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
-            count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
-            self.apply_gradients(rbm, batch, &phases, &mut velocity)
-        })
+        self.train_with(rbm, data, batch_size, substrate, 1, rng)
     }
 
     /// Convenience: `epochs` substrate-offloaded epochs
@@ -195,8 +181,39 @@ impl CdTrainer {
         S: Substrate + ?Sized,
         R: Rng + ?Sized,
     {
+        check_substrate(substrate, rbm);
+        let mut rng = rng;
+        let rng: &mut dyn RngCore = &mut rng;
+        self.run(rbm, epochs, |rbm, mut velocity| {
+            epoch(rbm, data, batch_size, |rbm, batch| {
+                program(substrate, rbm);
+                let clamped = clamped_batch(substrate, batch);
+                let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
+                count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
+                self.apply_gradients(rbm, batch, &phases, velocity.as_deref_mut())
+            })
+        })
+    }
+
+    /// Runs `epochs` epochs of `epoch(rbm, velocity)` and returns the
+    /// final epoch's statistics (all zero when `epochs == 0`).
+    ///
+    /// Only momentum reads a velocity, so there is one only when the
+    /// momentum is non-zero: one weight-sized velocity for the whole
+    /// run, at rest when each epoch starts.
+    fn run(
+        &self,
+        rbm: &mut Rbm,
+        epochs: usize,
+        mut epoch: impl FnMut(&mut Rbm, Option<&mut Velocity>) -> EpochStats,
+    ) -> EpochStats {
+        let mut velocity = (self.momentum != 0.0).then(|| Velocity::zeros(rbm));
         last_epoch(epochs, || {
-            self.train_epoch_with(rbm, data, batch_size, substrate, rng)
+            let stats = epoch(rbm, velocity.as_mut());
+            if let Some(velocity) = &mut velocity {
+                velocity.stop();
+            }
+            stats
         })
     }
 
@@ -204,77 +221,98 @@ impl CdTrainer {
     /// momentum and weight decay): the common tail of every CD variant.
     ///
     /// When the data and the phases are exactly binary ([`CoCounts`]),
-    /// `W` and its velocity update in one fused pass that reads each
-    /// gradient entry `(a − b)/bs` from a table of the `2·bs + 1`
-    /// possible quotients, with no weight-sized temporary. Otherwise the
-    /// dense products serve. The bits are the same either way.
+    /// each row of `W` reads its gradient entries `(a − b)/bs` from a
+    /// table of the `2·bs + 1` possible quotients, adds their squares to
+    /// the ordered Σg² chain and then updates in a pass of its own, with
+    /// no weight-sized temporary. Otherwise the dense products serve.
+    /// The bits are the same either way.
+    ///
+    /// `velocity` is `None` exactly when the momentum is zero; then the
+    /// step adds `u = (g − λ·w)·α` itself (see [`CdTrainer::update`]).
     fn apply_gradients(
         &self,
         rbm: &mut Rbm,
         batch: &Array2<f64>,
         [h_pos, v_neg, h_neg]: &[Array2<f64>; 3],
-        velocity: &mut Velocity,
+        velocity: Option<&mut Velocity>,
     ) -> (f64, f64) {
-        let Velocity {
-            w: velocity_w,
-            bv: velocity_bv,
-            bh: velocity_bh,
-        } = velocity;
+        let (mut velocity_w, velocity_b) = match velocity {
+            Some(Velocity { w, bv, bh }) => (Some(w.as_mut_slice()), Some([bv, bh])),
+            None => (None, None),
+        };
         let bs = batch.nrows() as f64;
         let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
         let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
         let grad_norm = match CoCounts::of([batch, h_pos, v_neg, h_neg]) {
-            Some(mut counts) => {
+            Some(counts) => {
                 // `quotient[negs + a − b] = (a − b) / bs`.
                 let negs = v_neg.nrows();
                 let quotient: Vec<f64> = (0..=batch.nrows() + negs)
                     .map(|k| (k as f64 - negs as f64) / bs)
                     .collect();
-                // `max(1)`: `chunks_exact_mut` needs a nonzero width.
-                let n = rbm.hidden_len().max(1);
-                let rows = rbm
-                    .weights_mut()
-                    .as_mut_slice()
-                    .chunks_exact_mut(n)
-                    .zip(velocity_w.as_mut_slice().chunks_exact_mut(n));
-                // -0.0, where `Sum for f64` starts: an empty `W` matches too.
-                let mut sum_sq = -0.0;
-                for (i, (weights, velocity)) in rows.enumerate() {
-                    let (a, b) = counts.row(i);
-                    for (((w, v), &a), &b) in weights.iter_mut().zip(velocity).zip(a).zip(b) {
-                        let g = quotient[negs + usize::from(a) - usize::from(b)];
-                        sum_sq += g * g;
-                        *v = *v * self.momentum + (g - *w * self.weight_decay) * self.learning_rate;
-                        *w += *v;
-                    }
-                }
-                sum_sq.sqrt()
+                let n = rbm.hidden_len();
+                counts.step(
+                    rbm.weights_mut(),
+                    |a, b| quotient[negs + usize::from(a) - usize::from(b)],
+                    |i, weights, grad| {
+                        let velocity = velocity_w.as_deref_mut().map(|v| &mut v[i * n..][..n]);
+                        self.update(weights, grad, velocity);
+                    },
+                )
             }
             None => {
                 let grad_w = (batch.t().dot(h_pos) - v_neg.t().dot(h_neg)) / bs;
                 let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
-                // In place: weight-sized temporaries page-fault on every
-                // training request. Each element's operations keep their
-                // order.
-                for ((v, &g), &w) in velocity_w
-                    .iter_mut()
-                    .zip(grad_w.iter())
-                    .zip(rbm.weights().iter())
-                {
-                    *v = *v * self.momentum + (g - w * self.weight_decay) * self.learning_rate;
-                }
-                *rbm.weights_mut() += &*velocity_w;
+                self.update(
+                    rbm.weights_mut().as_mut_slice(),
+                    grad_w.as_slice(),
+                    velocity_w,
+                );
                 grad_norm
             }
         };
 
-        *velocity_bv = &*velocity_bv * self.momentum + &grad_bv * self.learning_rate;
-        *velocity_bh = &*velocity_bh * self.momentum + &grad_bh * self.learning_rate;
-        *rbm.visible_bias_mut() += &*velocity_bv;
-        *rbm.hidden_bias_mut() += &*velocity_bh;
+        match velocity_b {
+            Some([velocity_bv, velocity_bh]) => {
+                *velocity_bv = &*velocity_bv * self.momentum + &grad_bv * self.learning_rate;
+                *velocity_bh = &*velocity_bh * self.momentum + &grad_bh * self.learning_rate;
+                *rbm.visible_bias_mut() += &*velocity_bv;
+                *rbm.hidden_bias_mut() += &*velocity_bh;
+            }
+            None => {
+                *rbm.visible_bias_mut() += &(&grad_bv * self.learning_rate);
+                *rbm.hidden_bias_mut() += &(&grad_bh * self.learning_rate);
+            }
+        }
 
-        let recon = (v_neg - batch).mapv(f64::abs).mean().unwrap_or(0.0);
-        (recon, grad_norm)
+        (mean_abs_difference(v_neg, batch), grad_norm)
+    }
+
+    /// Updates `weights` by the gradient `grad`, element by element:
+    /// `v ← β·v + (g − λ·w)·α`, then `w ← w + v`.
+    ///
+    /// Without a velocity (momentum 0) it adds `u = (g − λ·w)·α`
+    /// directly, which is `0·v + u` bit for bit for any finite `v`:
+    /// `0·v` is `±0`, and adding `±0` changes no `u` but `-0.0`. `g` is
+    /// never `-0.0` (equal co-counts or dense sums give `+0.0`), so `u`
+    /// is `-0.0` only where a product underflows (a learning rate or
+    /// weight decay near the subnormal range), and there only a zero
+    /// weight could tell.
+    fn update(&self, weights: &mut [f64], grad: &[f64], velocity: Option<&mut [f64]>) {
+        let (decay, rate) = (self.weight_decay, self.learning_rate);
+        match velocity {
+            Some(velocity) => {
+                for ((w, v), &g) in weights.iter_mut().zip(velocity).zip(grad) {
+                    *v = *v * self.momentum + (g - *w * decay) * rate;
+                    *w += *v;
+                }
+            }
+            None => {
+                for (w, &g) in weights.iter_mut().zip(grad) {
+                    *w += (g - *w * decay) * rate;
+                }
+            }
+        }
     }
 
     /// Convenience: full training run of `epochs` epochs; returns the final
@@ -287,8 +325,24 @@ impl CdTrainer {
         epochs: usize,
         rng: &mut R,
     ) -> EpochStats {
-        last_epoch(epochs, || self.train_epoch(rbm, data, batch_size, rng))
+        self.run(rbm, epochs, |rbm, mut velocity| {
+            epoch(rbm, data, batch_size, |rbm, batch| {
+                let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
+                self.apply_gradients(rbm, batch, &phases, velocity.as_deref_mut())
+            })
+        })
     }
+}
+
+/// `|a − b|.mean()` (`0.0` when empty) without its two temporaries: the
+/// same differences, summed in the same order.
+fn mean_abs_difference(a: &Array2<f64>, b: &Array2<f64>) -> f64 {
+    assert_eq!(a.dim(), b.dim(), "elementwise shape mismatch");
+    if a.is_empty() {
+        return 0.0;
+    }
+    let sum: f64 = a.iter().zip(b.iter()).map(|(&a, &b)| (a - b).abs()).sum();
+    sum / a.len() as f64
 }
 
 /// Momentum state carried across one epoch's minibatches: the previous
@@ -307,6 +361,13 @@ impl Velocity {
             bv: Array1::zeros(rbm.visible_len()),
             bh: Array1::zeros(rbm.hidden_len()),
         }
+    }
+
+    /// Puts the velocity back at rest (all `+0.0`, as [`Velocity::zeros`]).
+    fn stop(&mut self) {
+        self.w.fill(0.0);
+        self.bv.fill(0.0);
+        self.bh.fill(0.0);
     }
 }
 
@@ -427,34 +488,34 @@ mod tests {
         (recon, grad_norm)
     }
 
-    /// Every bit of the trained state: weights, biases and velocity.
-    fn state_bits(rbm: &Rbm, velocity: &Velocity) -> Vec<u64> {
-        [
+    /// Every bit of the trained state: weights, biases and the velocity,
+    /// if any.
+    fn state_bits(rbm: &Rbm, velocity: Option<&Velocity>) -> Vec<u64> {
+        let mut state = vec![
             rbm.weights().as_slice(),
             rbm.visible_bias().as_slice(),
             rbm.hidden_bias().as_slice(),
-            velocity.w.as_slice(),
-            velocity.bv.as_slice(),
-            velocity.bh.as_slice(),
-        ]
-        .concat()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect()
+        ];
+        if let Some(velocity) = velocity {
+            state.extend([
+                velocity.w.as_slice(),
+                velocity.bv.as_slice(),
+                velocity.bh.as_slice(),
+            ]);
+        }
+        state.concat().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn gradient_step_matches_the_dense_expressions_bit_for_bit() {
         let (m, n) = (37, 11);
-        let trainer = CdTrainer::new(1, 0.05)
-            .with_momentum(0.5)
-            .with_weight_decay(1e-3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let binary = |rng: &mut rand::rngs::StdRng, rows, cols| {
             Array2::from_shape_fn((rows, cols), |_| f64::from(rng.random_bool(0.3)))
         };
-        // Binary phases at batch sizes around the count and lane widths,
-        // then gray data, then binary data with a single gray entry.
+        // Binary phases at batch sizes around the count, mask and lane
+        // widths (1–130 rows: one-, two- and three-word masks), then
+        // gray data, then binary data with a single gray entry.
         let mut batches = Vec::new();
         for bs in [1, 5, 63, 64, 65, 130] {
             batches.push(binary(&mut rng, bs, m));
@@ -466,35 +527,49 @@ mod tests {
         one_gray[[3, 17]] = 0.5;
         batches.push(one_gray);
 
-        for batch in batches {
-            let bs = batch.nrows();
-            let mut got = Rbm::random(m, n, 0.1, &mut rng);
-            let mut got_v = Velocity {
-                w: Array2::from_shape_fn((m, n), |_| rng.random_range(-0.01..0.01)),
-                bv: Array1::from_shape_fn(m, |_| rng.random_range(-0.01..0.01)),
-                bh: Array1::from_shape_fn(n, |_| rng.random_range(-0.01..0.01)),
-            };
-            let (mut want, mut want_v) = (got.clone(), got_v.clone());
-            // Two consecutive steps, so the second reads the first's
-            // velocity.
-            for _ in 0..2 {
-                let phases = [
-                    binary(&mut rng, bs, n),
-                    binary(&mut rng, bs, m),
-                    binary(&mut rng, bs, n),
-                ];
-                let (got_recon, got_norm) =
-                    trainer.apply_gradients(&mut got, &batch, &phases, &mut got_v);
-                let (want_recon, want_norm) =
-                    dense_step(&trainer, &mut want, &batch, &phases, &mut want_v);
-                assert_eq!(got_recon.to_bits(), want_recon.to_bits(), "recon, bs {bs}");
-                assert_eq!(got_norm.to_bits(), want_norm.to_bits(), "norm, bs {bs}");
+        // With momentum the step carries a velocity; at momentum 0 it
+        // has none and must match the dense step from a zero velocity.
+        let trainers = [
+            CdTrainer::new(1, 0.05)
+                .with_momentum(0.5)
+                .with_weight_decay(1e-3),
+            CdTrainer::new(1, 0.05).with_weight_decay(1e-3),
+            CdTrainer::new(1, 0.05),
+        ];
+        for trainer in trainers {
+            let carried = trainer.momentum != 0.0;
+            for batch in &batches {
+                let bs = batch.nrows();
+                let mut got = Rbm::random(m, n, 0.1, &mut rng);
+                let mut got_v = carried.then(|| Velocity {
+                    w: Array2::from_shape_fn((m, n), |_| rng.random_range(-0.01..0.01)),
+                    bv: Array1::from_shape_fn(m, |_| rng.random_range(-0.01..0.01)),
+                    bh: Array1::from_shape_fn(n, |_| rng.random_range(-0.01..0.01)),
+                });
+                let mut want = got.clone();
+                let mut want_v = got_v.clone().unwrap_or_else(|| Velocity::zeros(&got));
+                // Two consecutive steps, so the second reads the first's
+                // velocity.
+                for _ in 0..2 {
+                    let phases = [
+                        binary(&mut rng, bs, n),
+                        binary(&mut rng, bs, m),
+                        binary(&mut rng, bs, n),
+                    ];
+                    let (got_recon, got_norm) =
+                        trainer.apply_gradients(&mut got, batch, &phases, got_v.as_mut());
+                    let (want_recon, want_norm) =
+                        dense_step(&trainer, &mut want, batch, &phases, &mut want_v);
+                    assert_eq!(got_recon.to_bits(), want_recon.to_bits(), "recon, bs {bs}");
+                    assert_eq!(got_norm.to_bits(), want_norm.to_bits(), "norm, bs {bs}");
+                }
+                assert_eq!(
+                    state_bits(&got, got_v.as_ref()),
+                    state_bits(&want, carried.then_some(&want_v)),
+                    "bs {bs}, momentum {}",
+                    trainer.momentum
+                );
             }
-            assert_eq!(
-                state_bits(&got, &got_v),
-                state_bits(&want, &want_v),
-                "bs {bs}"
-            );
         }
     }
 }

@@ -39,7 +39,7 @@ pub use pcd::PcdTrainer;
 
 use std::borrow::Cow;
 
-use ndarray::{s, Array2, ArrayView1};
+use ndarray::{s, Array2};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -181,44 +181,138 @@ pub(crate) fn count_minibatch(
 /// counts equal the dense GEMMs' outputs bit for bit, and a gradient
 /// computed from them (`(a − b)/bs`, or `a/bs − b/p`) keeps every bit
 /// of the dense step without materializing either product.
-pub(crate) struct CoCounts<'a> {
-    v_pos: &'a Array2<f64>,
-    v_neg: &'a Array2<f64>,
-    /// `h⁺` and `h⁻`, row-major, as `u16` 0/1 values.
-    h_pos: Vec<u16>,
-    h_neg: Vec<u16>,
-    /// The last unit's counts (see [`CoCounts::row`]).
-    pos: Vec<u16>,
-    neg: Vec<u16>,
+///
+/// A unit's count is the sum of the `u16` rows of `h` whose `v` row
+/// holds a 1 at the unit. Those rows are a bitmask per unit, one `u64`
+/// per 64 rows (one code path for any row count), built in one
+/// row-major pass over `v`, so a unit's count visits only its selecting
+/// rows instead of a strided column of every row.
+pub(crate) struct CoCounts {
+    pos: Selection,
+    neg: Selection,
 }
 
-impl<'a> CoCounts<'a> {
+impl CoCounts {
     /// `None` unless `v⁺`, `h⁺`, `v⁻` and `h⁻` hold only bitwise `+0.0`
     /// and `1.0`, and both row counts fit in `u16`. Then only the dense
     /// products serve (gray DTC data, or a hostile value).
-    pub(crate) fn of(phases: [&'a Array2<f64>; 4]) -> Option<Self> {
+    pub(crate) fn of(phases: [&Array2<f64>; 4]) -> Option<Self> {
         let [v_pos, h_pos, v_neg, h_neg] = phases;
         let fits = |a: &Array2<f64>| a.nrows() <= usize::from(u16::MAX);
         if !(fits(v_pos) && fits(v_neg) && phases.iter().all(|a| binary(a))) {
             return None;
         }
-        let bits = |h: &Array2<f64>| h.iter().map(|&x| u16::from(x == 1.0)).collect();
         Some(CoCounts {
-            v_pos,
-            v_neg,
-            h_pos: bits(h_pos),
-            h_neg: bits(h_neg),
-            pos: vec![0; h_pos.ncols()],
-            neg: vec![0; h_pos.ncols()],
+            pos: Selection::new(v_pos, h_pos),
+            neg: Selection::new(v_neg, h_neg),
         })
     }
 
     /// Visible unit `i`'s counts `(a, b)`, with `a[j] = Σ_r v⁺[r,i]·h⁺[r,j]`
     /// and `b[j] = Σ_r v⁻[r,i]·h⁻[r,j]`.
     pub(crate) fn row(&mut self, i: usize) -> (&[u16], &[u16]) {
-        sum_selected(&mut self.pos, self.v_pos.column(i), &self.h_pos);
-        sum_selected(&mut self.neg, self.v_neg.column(i), &self.h_neg);
-        (&self.pos, &self.neg)
+        (self.pos.unit(i), self.neg.unit(i))
+    }
+
+    /// The gradient step on `weights`, one row (visible unit) at a time:
+    /// `gradient(a, b)` maps a pair of counts to its gradient entry, and
+    /// `update(i, row, grad)` applies row `i`'s gradient to the row.
+    /// Returns the gradient's L2 norm.
+    ///
+    /// The squares join one ordered chain, row-major from `-0.0` as
+    /// `Sum for f64` adds them, so the norm keeps the dense step's bits;
+    /// those dependent adds are the step's floor. The update is a pass
+    /// of its own beside the chain, with no carried dependency, so it
+    /// vectorizes.
+    pub(crate) fn step(
+        mut self,
+        weights: &mut Array2<f64>,
+        gradient: impl Fn(u16, u16) -> f64,
+        mut update: impl FnMut(usize, &mut [f64], &[f64]),
+    ) -> f64 {
+        let n = weights.ncols();
+        let mut grad = vec![0.0; n];
+        let mut sum_sq = -0.0;
+        // `max(1)`: `chunks_exact_mut` needs a nonzero width.
+        let rows = weights.as_mut_slice().chunks_exact_mut(n.max(1));
+        for (i, row) in rows.enumerate() {
+            let (a, b) = self.row(i);
+            sum_sq = gradient_row(sum_sq, &mut grad, a, b, &gradient);
+            update(i, row, &grad);
+        }
+        sum_sq.sqrt()
+    }
+}
+
+/// Fills `grad` with `gradient(a[j], b[j])` and returns `sum_sq` plus
+/// their squares, added in order.
+///
+/// Out of line so that the chain's accumulator stays in a register:
+/// inlined into [`CoCounts::step`], whose row loop keeps many values
+/// live across calls, it was kept on the stack, and each of the chain's
+/// dependent adds waited on a store and a reload (the step took about
+/// twice as long at 784×200).
+#[inline(never)]
+fn gradient_row(
+    mut sum_sq: f64,
+    grad: &mut [f64],
+    a: &[u16],
+    b: &[u16],
+    gradient: &impl Fn(u16, u16) -> f64,
+) -> f64 {
+    for ((g, &a), &b) in grad.iter_mut().zip(a).zip(b) {
+        *g = gradient(a, b);
+        sum_sq += *g * *g;
+    }
+    sum_sq
+}
+
+/// One phase pair `(v, h)` as [`CoCounts`] reads it.
+struct Selection {
+    /// Visible units per row of `v`.
+    units: usize,
+    /// Bit `r` of word `w · units + i` is set when row `64·w + r` of `v`
+    /// holds a 1 at unit `i`.
+    masks: Vec<u64>,
+    /// `h`, row-major, as `u16` 0/1 values.
+    h: Vec<u16>,
+    /// The last unit's counts (see [`Selection::unit`]).
+    counts: Vec<u16>,
+}
+
+impl Selection {
+    fn new(v: &Array2<f64>, h: &Array2<f64>) -> Self {
+        let units = v.ncols();
+        let mut masks = vec![0; v.nrows().div_ceil(64) * units];
+        for (r, row) in v.as_slice().chunks_exact(units.max(1)).enumerate() {
+            let word = &mut masks[r / 64 * units..][..units];
+            for (mask, &x) in word.iter_mut().zip(row) {
+                *mask |= u64::from(x == 1.0) << (r % 64);
+            }
+        }
+        Selection {
+            units,
+            masks,
+            h: h.iter().map(|&x| u16::from(x == 1.0)).collect(),
+            counts: vec![0; h.ncols()],
+        }
+    }
+
+    /// Unit `i`'s counts: the sum of the rows of `h` that it selects.
+    fn unit(&mut self, i: usize) -> &[u16] {
+        let n = self.counts.len();
+        self.counts.fill(0);
+        for (w, &mask) in self.masks.iter().skip(i).step_by(self.units).enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let r = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (c, &h) in self.counts.iter_mut().zip(&self.h[r * n..][..n]) {
+                    *c += h;
+                }
+            }
+        }
+        &self.counts
     }
 }
 
@@ -228,19 +322,6 @@ fn binary(a: &Array2<f64>) -> bool {
     a.iter().fold(true, |binary, &x| {
         binary & ((x.to_bits() == 0) | (x == 1.0))
     })
-}
-
-/// Sets `acc` to the sum of the `u16` rows of `h` that the binary
-/// `select` picks.
-fn sum_selected(acc: &mut [u16], select: ArrayView1<'_, f64>, h: &[u16]) {
-    acc.fill(0);
-    for (&s, h) in select.iter().zip(h.chunks_exact(acc.len().max(1))) {
-        if s == 1.0 {
-            for (a, &h) in acc.iter_mut().zip(h) {
-                *a += h;
-            }
-        }
-    }
 }
 
 /// The host's exact half-step: samples `side` of every row given the

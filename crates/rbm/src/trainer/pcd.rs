@@ -120,8 +120,9 @@ impl PcdTrainer {
     /// tail of every PCD variant; `v⁻` becomes the new particle set.
     ///
     /// When the data and the phases are exactly binary ([`CoCounts`]),
-    /// `W` updates in one fused pass that reads each gradient entry
-    /// `a/bs − b/p` from two tables of quotients, with no weight-sized
+    /// each row of `W` reads its gradient entries `a/bs − b/p` from two
+    /// tables of quotients, adds their squares to the ordered Σg² chain
+    /// and then updates in a pass of its own, with no weight-sized
     /// temporary. Otherwise the dense products serve. The bits are the
     /// same either way.
     fn apply_gradients(
@@ -135,28 +136,19 @@ impl PcdTrainer {
         let grad_bv = batch.sum_axis(Axis(0)) / bs - v_neg.sum_axis(Axis(0)) / p;
         let grad_bh = h_pos.sum_axis(Axis(0)) / bs - h_neg.sum_axis(Axis(0)) / p;
         let grad_norm = match CoCounts::of([batch, &h_pos, &v_neg, &h_neg]) {
-            Some(mut counts) => {
+            Some(counts) => {
                 let pos: Vec<f64> = (0..=batch.nrows()).map(|a| a as f64 / bs).collect();
                 let neg: Vec<f64> = (0..=v_neg.nrows()).map(|b| b as f64 / p).collect();
-                // `max(1)`: `chunks_exact_mut` needs a nonzero width.
-                let n = rbm.hidden_len().max(1);
-                let rows = rbm.weights_mut().as_mut_slice().chunks_exact_mut(n);
-                // -0.0, where `Sum for f64` starts: an empty `W` matches too.
-                let mut sum_sq = -0.0;
-                for (i, weights) in rows.enumerate() {
-                    let (a, b) = counts.row(i);
-                    for ((w, &a), &b) in weights.iter_mut().zip(a).zip(b) {
-                        let g = pos[usize::from(a)] - neg[usize::from(b)];
-                        sum_sq += g * g;
-                        *w += g * self.learning_rate;
-                    }
-                }
-                sum_sq.sqrt()
+                counts.step(
+                    rbm.weights_mut(),
+                    |a, b| pos[usize::from(a)] - neg[usize::from(b)],
+                    |_, weights, grad| self.update(weights, grad),
+                )
             }
             None => {
                 let grad_w = batch.t().dot(&h_pos) / bs - v_neg.t().dot(&h_neg) / p;
                 let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
-                *rbm.weights_mut() += &(&grad_w * self.learning_rate);
+                self.update(rbm.weights_mut().as_mut_slice(), grad_w.as_slice());
                 grad_norm
             }
         };
@@ -172,6 +164,13 @@ impl PcdTrainer {
         };
         self.particles_v = v_neg;
         (recon, grad_norm)
+    }
+
+    /// `w ← w + g·α`, element by element.
+    fn update(&self, weights: &mut [f64], grad: &[f64]) {
+        for (w, &g) in weights.iter_mut().zip(grad) {
+            *w += g * self.learning_rate;
+        }
     }
 
     /// One epoch of PCD-k with both the positive phase and the
