@@ -157,19 +157,28 @@ impl Couplings {
     }
 }
 
-/// Writes the transpose of `a` into `t`, tile by tile, so that the
-/// strided side of each tile stays in cache.
+/// Writes the transpose of `a` into `t`, a strip of eight rows of `a`
+/// at a time: a strip's column `j` fills eight adjacent entries of row
+/// `j` of `t`, one 64-byte line, so every write lands in a line that
+/// is written whole. (32×32 tiles that wrote `t` one element per row
+/// took ~1.6× as long at 784×200.)
 fn transpose_into(a: &Array2<f64>, t: &mut Array2<f64>) {
-    const TILE: usize = 32;
+    const STRIP: usize = 8;
     let (m, n) = a.dim();
+    if a.is_empty() {
+        return;
+    }
     let (a, t) = (a.as_slice(), t.as_mut_slice());
-    for i0 in (0..m).step_by(TILE) {
-        for j0 in (0..n).step_by(TILE) {
-            for i in i0..(i0 + TILE).min(m) {
-                for j in j0..(j0 + TILE).min(n) {
-                    t[j * m + i] = a[i * n + j];
-                }
+    for (s, strip) in a.chunks_exact(STRIP * n).enumerate() {
+        for (j, row) in t.chunks_exact_mut(m).enumerate() {
+            for (r, x) in row[s * STRIP..][..STRIP].iter_mut().enumerate() {
+                *x = strip[r * n + j];
             }
+        }
+    }
+    for i in m / STRIP * STRIP..m {
+        for j in 0..n {
+            t[j * m + i] = a[i * n + j];
         }
     }
 }
@@ -246,6 +255,26 @@ mod tests {
             zeros[[2, 3]] = -0.0;
             program(&mut c, &zeros, factors.as_ref());
             assert_eq!(held_bits(&c), held);
+        }
+    }
+
+    #[test]
+    fn transpose_into_writes_the_transpose_at_any_shape() {
+        // Row counts below, at and around the 8-row strip, and empty.
+        for (m, n) in [
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (7, 3),
+            (8, 3),
+            (9, 13),
+            (16, 1),
+            (70, 9),
+        ] {
+            let a = Array2::from_shape_fn((m, n), |(i, j)| (i * n + j) as f64 + 0.5);
+            let mut t = Array2::zeros((n, m));
+            transpose_into(&a, &mut t);
+            assert_eq!(bits(&t), bits(&a.t().to_owned()), "{m}×{n}");
         }
     }
 
