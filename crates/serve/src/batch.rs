@@ -393,11 +393,12 @@ fn run_chains<S: Substrate + ?Sized>(
     ) -> Result<Array2<f64>, SubstrateFault>,
 ) -> Result<Array2<f64>, SubstrateFault> {
     let (mut rngs, mut v) = init_chains(substrate, rows, gibbs_steps);
-    let mut h = half_step(substrate, Side::Hidden, &v, &mut rng_lanes(&mut rngs))?;
+    let lanes = &mut rng_lanes(&mut rngs);
+    let mut h = half_step(substrate, Side::Hidden, &v, lanes)?;
     for step in 0..gibbs_steps {
-        v = half_step(substrate, Side::Visible, &h, &mut rng_lanes(&mut rngs))?;
+        v = half_step(substrate, Side::Visible, &h, lanes)?;
         if step + 1 < gibbs_steps {
-            h = half_step(substrate, Side::Hidden, &v, &mut rng_lanes(&mut rngs))?;
+            h = half_step(substrate, Side::Hidden, &v, lanes)?;
         }
     }
     Ok(v)
@@ -455,7 +456,8 @@ fn init_chains<S: Substrate + ?Sized>(
     (rngs, v)
 }
 
-/// Reborrows each chain's RNG as an object-safe lane slice.
+/// Reborrows each chain's RNG as an object-safe lane slice, once per
+/// run: every half-step of the run draws through the same lanes.
 fn rng_lanes(rngs: &mut [StdRng]) -> Vec<&mut dyn RngCore> {
     rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect()
 }
