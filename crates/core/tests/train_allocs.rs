@@ -15,7 +15,7 @@ use std::cell::Cell;
 use ember_analog::NoiseModel;
 use ember_core::substrate::SoftwareGibbs;
 use ember_core::GsConfig;
-use ember_rbm::{CdTrainer, Rbm};
+use ember_rbm::{CdTrainer, PcdTrainer, Rbm};
 use ember_substrate::Substrate;
 use ndarray::Array2;
 use rand::rngs::StdRng;
@@ -94,23 +94,56 @@ fn configs() -> [GsConfig; 2] {
     [GsConfig::default(), noisy]
 }
 
+/// The benchmark's training set: 64 rows of 0/1 data, trained in four
+/// minibatches of 16.
+fn training_data(rng: &mut StdRng) -> Array2<f64> {
+    Array2::from_shape_fn((64, M), |_| f64::from(rng.random_bool(0.15)))
+}
+
 #[test]
-fn a_cd1_epoch_allocates_only_its_velocity() {
-    // The benchmark's training shape: 64 rows of 0/1 data in four
-    // minibatches of 16.
+fn a_cd1_epoch_allocates_no_weight_sized_array() {
+    // Momentum 0, as a training request runs it: no velocity.
     for config in configs() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut rbm = Rbm::random(M, N, 0.01, &mut rng);
         let mut sub = SoftwareGibbs::new(M, N, &config, &mut rng);
-        let data = Array2::from_shape_fn((64, M), |_| f64::from(rng.random_bool(0.15)));
+        let data = training_data(&mut rng);
         let trainer = CdTrainer::new(1, 0.05);
         let allocs = weight_sized_allocs(|| {
             trainer.train_epoch_with(&mut rbm, &data, 16, &mut sub, &mut rng);
         });
-        assert!(
-            allocs <= 1,
-            "{allocs} weight-sized allocations in one epoch"
-        );
+        assert_eq!(allocs, 0, "weight-sized allocations in one epoch");
+    }
+}
+
+#[test]
+fn a_momentum_run_allocates_one_velocity() {
+    // One velocity for the whole run, at rest again for each epoch.
+    for config in configs() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut rbm = Rbm::random(M, N, 0.01, &mut rng);
+        let mut sub = SoftwareGibbs::new(M, N, &config, &mut rng);
+        let data = training_data(&mut rng);
+        let trainer = CdTrainer::new(1, 0.05).with_momentum(0.5);
+        let allocs = weight_sized_allocs(|| {
+            trainer.train_with(&mut rbm, &data, 16, &mut sub, 2, &mut rng);
+        });
+        assert_eq!(allocs, 1, "weight-sized allocations in a two-epoch run");
+    }
+}
+
+#[test]
+fn a_pcd_epoch_allocates_no_weight_sized_array() {
+    for config in configs() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut rbm = Rbm::random(M, N, 0.01, &mut rng);
+        let mut sub = SoftwareGibbs::new(M, N, &config, &mut rng);
+        let data = training_data(&mut rng);
+        let mut trainer = PcdTrainer::new(1, 0.05, 16, &rbm, &mut rng);
+        let allocs = weight_sized_allocs(|| {
+            trainer.train_epoch_with(&mut rbm, &data, 16, &mut sub, &mut rng);
+        });
+        assert_eq!(allocs, 0, "weight-sized allocations in one epoch");
     }
 }
 
