@@ -211,7 +211,7 @@ impl CdTrainer {
         last_epoch(epochs, || {
             let stats = epoch(rbm, velocity.as_mut());
             if let Some(velocity) = &mut velocity {
-                velocity.stop();
+                velocity.reset();
             }
             stats
         })
@@ -364,7 +364,7 @@ impl Velocity {
     }
 
     /// Puts the velocity back at rest (all `+0.0`, as [`Velocity::zeros`]).
-    fn stop(&mut self) {
+    fn reset(&mut self) {
         self.w.fill(0.0);
         self.bv.fill(0.0);
         self.bh.fill(0.0);

@@ -223,14 +223,9 @@ impl CoCounts {
         })
     }
 
-    /// Visible unit `i`'s counts `(a, b)`, with `a[j] = Σ_r v⁺[r,i]·h⁺[r,j]`
-    /// and `b[j] = Σ_r v⁻[r,i]·h⁻[r,j]`.
-    pub(crate) fn row(&mut self, i: usize) -> (&[u16], &[u16]) {
-        (self.pos.unit(i), self.neg.unit(i))
-    }
-
-    /// The gradient step on `weights`, one row (visible unit) at a time:
-    /// `gradient(a, b)` maps a pair of counts to its gradient entry, and
+    /// The gradient step on `weights`, one row (visible unit `i`) at a
+    /// time: `gradient(a, b)` maps a pair of counts, `a = Σ_r v⁺[r,i]·h⁺[r,j]`
+    /// and `b = Σ_r v⁻[r,i]·h⁻[r,j]`, to its gradient entry, and
     /// `update(i, row, grad)` applies row `i`'s gradient to the row.
     /// Returns the gradient's L2 norm.
     ///
@@ -251,7 +246,7 @@ impl CoCounts {
         // `max(1)`: `chunks_exact_mut` needs a nonzero width.
         let rows = weights.as_mut_slice().chunks_exact_mut(n.max(1));
         for (i, row) in rows.enumerate() {
-            let (a, b) = self.row(i);
+            let (a, b) = (self.pos.unit(i), self.neg.unit(i));
             sum_sq = gradient_row(sum_sq, &mut grad, a, b, &gradient);
             update(i, row, &grad);
         }
