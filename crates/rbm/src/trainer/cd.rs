@@ -184,35 +184,30 @@ impl CdTrainer {
         check_substrate(substrate, rbm);
         let mut rng = rng;
         let rng: &mut dyn RngCore = &mut rng;
-        self.run(rbm, epochs, |rbm, mut velocity| {
+        self.run(rbm, epochs, |rbm, velocity| {
             epoch(rbm, data, batch_size, |rbm, batch| {
                 program(substrate, rbm);
                 let clamped = clamped_batch(substrate, batch);
                 let phases = self.phases(&clamped, |side, x| substrate.sample_batch(side, x, rng));
                 count_minibatch(substrate.counters_mut(), rbm, batch.nrows(), batch.nrows());
-                self.apply_gradients(rbm, batch, &phases, velocity.as_deref_mut())
+                self.apply_gradients(rbm, batch, &phases, velocity)
             })
         })
     }
 
     /// Runs `epochs` epochs of `epoch(rbm, velocity)` and returns the
-    /// final epoch's statistics (all zero when `epochs == 0`).
-    ///
-    /// Only momentum reads a velocity, so there is one only when the
-    /// momentum is non-zero: one weight-sized velocity for the whole
-    /// run, at rest when each epoch starts.
+    /// final epoch's statistics (all zero when `epochs == 0`): one
+    /// velocity for the whole run, at rest when each epoch starts.
     fn run(
         &self,
         rbm: &mut Rbm,
         epochs: usize,
-        mut epoch: impl FnMut(&mut Rbm, Option<&mut Velocity>) -> EpochStats,
+        mut epoch: impl FnMut(&mut Rbm, &mut Velocity) -> EpochStats,
     ) -> EpochStats {
-        let mut velocity = (self.momentum != 0.0).then(|| Velocity::zeros(rbm));
+        let mut velocity = Velocity::zeros(rbm, self.momentum);
         last_epoch(epochs, || {
-            let stats = epoch(rbm, velocity.as_mut());
-            if let Some(velocity) = &mut velocity {
-                velocity.reset();
-            }
+            let stats = epoch(rbm, &mut velocity);
+            velocity.reset();
             stats
         })
     }
@@ -227,19 +222,20 @@ impl CdTrainer {
     /// no weight-sized temporary. Otherwise the dense products serve.
     /// The bits are the same either way.
     ///
-    /// `velocity` is `None` exactly when the momentum is zero; then the
-    /// step adds `u = (g − λ·w)·α` itself (see [`CdTrainer::update`]).
+    /// At momentum 0 there is no weight velocity, and `W` adds
+    /// `u = (g − λ·w)·α` itself (see [`CdTrainer::update`]).
     fn apply_gradients(
         &self,
         rbm: &mut Rbm,
         batch: &Array2<f64>,
         [h_pos, v_neg, h_neg]: &[Array2<f64>; 3],
-        velocity: Option<&mut Velocity>,
+        velocity: &mut Velocity,
     ) -> (f64, f64) {
-        let (mut velocity_w, velocity_b) = match velocity {
-            Some(Velocity { w, bv, bh }) => (Some(w.as_mut_slice()), Some([bv, bh])),
-            None => (None, None),
-        };
+        let Velocity {
+            w: velocity_w,
+            bv: velocity_bv,
+            bh: velocity_bh,
+        } = velocity;
         let bs = batch.nrows() as f64;
         let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
         let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
@@ -255,7 +251,9 @@ impl CdTrainer {
                     rbm.weights_mut(),
                     |a, b| quotient[negs + usize::from(a) - usize::from(b)],
                     |i, weights, grad| {
-                        let velocity = velocity_w.as_deref_mut().map(|v| &mut v[i * n..][..n]);
+                        let velocity = velocity_w
+                            .as_mut()
+                            .map(|v| &mut v.as_mut_slice()[i * n..][..n]);
                         self.update(weights, grad, velocity);
                     },
                 )
@@ -266,26 +264,19 @@ impl CdTrainer {
                 self.update(
                     rbm.weights_mut().as_mut_slice(),
                     grad_w.as_slice(),
-                    velocity_w,
+                    velocity_w.as_mut().map(|v| v.as_mut_slice()),
                 );
                 grad_norm
             }
         };
 
-        match velocity_b {
-            Some([velocity_bv, velocity_bh]) => {
-                *velocity_bv = &*velocity_bv * self.momentum + &grad_bv * self.learning_rate;
-                *velocity_bh = &*velocity_bh * self.momentum + &grad_bh * self.learning_rate;
-                *rbm.visible_bias_mut() += &*velocity_bv;
-                *rbm.hidden_bias_mut() += &*velocity_bh;
-            }
-            None => {
-                *rbm.visible_bias_mut() += &(&grad_bv * self.learning_rate);
-                *rbm.hidden_bias_mut() += &(&grad_bh * self.learning_rate);
-            }
-        }
+        *velocity_bv = &*velocity_bv * self.momentum + &grad_bv * self.learning_rate;
+        *velocity_bh = &*velocity_bh * self.momentum + &grad_bh * self.learning_rate;
+        *rbm.visible_bias_mut() += &*velocity_bv;
+        *rbm.hidden_bias_mut() += &*velocity_bh;
 
-        (mean_abs_difference(v_neg, batch), grad_norm)
+        let recon = (v_neg - batch).mapv(f64::abs).mean().unwrap_or(0.0);
+        (recon, grad_norm)
     }
 
     /// Updates `weights` by the gradient `grad`, element by element:
@@ -325,39 +316,33 @@ impl CdTrainer {
         epochs: usize,
         rng: &mut R,
     ) -> EpochStats {
-        self.run(rbm, epochs, |rbm, mut velocity| {
+        self.run(rbm, epochs, |rbm, velocity| {
             epoch(rbm, data, batch_size, |rbm, batch| {
                 let phases = self.phases(batch, |side, x| exact_half(rbm, side, x, rng));
-                self.apply_gradients(rbm, batch, &phases, velocity.as_deref_mut())
+                self.apply_gradients(rbm, batch, &phases, velocity)
             })
         })
     }
 }
 
-/// `|a − b|.mean()` (`0.0` when empty) without its two temporaries: the
-/// same differences, summed in the same order.
-fn mean_abs_difference(a: &Array2<f64>, b: &Array2<f64>) -> f64 {
-    assert_eq!(a.dim(), b.dim(), "elementwise shape mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = a.iter().zip(b.iter()).map(|(&a, &b)| (a - b).abs()).sum();
-    sum / a.len() as f64
-}
-
 /// Momentum state carried across one epoch's minibatches: the previous
 /// update of `W`, `b_v` and `b_h`.
+///
+/// `w` is `None` at momentum 0, where no step reads it (see
+/// [`CdTrainer::update`]); the bias velocities are only `m + n` values
+/// and serve every momentum.
 #[derive(Clone)]
 struct Velocity {
-    w: Array2<f64>,
+    w: Option<Array2<f64>>,
     bv: Array1<f64>,
     bh: Array1<f64>,
 }
 
 impl Velocity {
-    fn zeros(rbm: &Rbm) -> Self {
+    /// At rest, with a weight velocity only when `momentum` is non-zero.
+    fn zeros(rbm: &Rbm, momentum: f64) -> Self {
         Velocity {
-            w: Array2::zeros(rbm.weights().dim()),
+            w: (momentum != 0.0).then(|| Array2::zeros(rbm.weights().dim())),
             bv: Array1::zeros(rbm.visible_len()),
             bh: Array1::zeros(rbm.hidden_len()),
         }
@@ -365,7 +350,9 @@ impl Velocity {
 
     /// Puts the velocity back at rest (all `+0.0`, as [`Velocity::zeros`]).
     fn reset(&mut self) {
-        self.w.fill(0.0);
+        if let Some(w) = &mut self.w {
+            w.fill(0.0);
+        }
         self.bv.fill(0.0);
         self.bh.fill(0.0);
     }
@@ -471,8 +458,8 @@ mod tests {
         let grad_bv = (batch.sum_axis(Axis(0)) - v_neg.sum_axis(Axis(0))) / bs;
         let grad_bh = (h_pos.sum_axis(Axis(0)) - h_neg.sum_axis(Axis(0))) / bs;
         let grad_norm = grad_w.iter().map(|g| g * g).sum::<f64>().sqrt();
-        for ((v, &g), &w) in velocity
-            .w
+        let velocity_w = velocity.w.as_mut().expect("a weight velocity");
+        for ((v, &g), &w) in velocity_w
             .iter_mut()
             .zip(grad_w.iter())
             .zip(rbm.weights().iter())
@@ -481,28 +468,23 @@ mod tests {
         }
         velocity.bv = &velocity.bv * trainer.momentum + &grad_bv * trainer.learning_rate;
         velocity.bh = &velocity.bh * trainer.momentum + &grad_bh * trainer.learning_rate;
-        *rbm.weights_mut() += &velocity.w;
+        *rbm.weights_mut() += &*velocity_w;
         *rbm.visible_bias_mut() += &velocity.bv;
         *rbm.hidden_bias_mut() += &velocity.bh;
         let recon = (v_neg - batch).mapv(f64::abs).mean().unwrap_or(0.0);
         (recon, grad_norm)
     }
 
-    /// Every bit of the trained state: weights, biases and the velocity,
-    /// if any.
-    fn state_bits(rbm: &Rbm, velocity: Option<&Velocity>) -> Vec<u64> {
+    /// Every bit of the trained state: weights, biases and velocity.
+    fn state_bits(rbm: &Rbm, velocity: &Velocity) -> Vec<u64> {
         let mut state = vec![
             rbm.weights().as_slice(),
             rbm.visible_bias().as_slice(),
             rbm.hidden_bias().as_slice(),
+            velocity.bv.as_slice(),
+            velocity.bh.as_slice(),
         ];
-        if let Some(velocity) = velocity {
-            state.extend([
-                velocity.w.as_slice(),
-                velocity.bv.as_slice(),
-                velocity.bh.as_slice(),
-            ]);
-        }
+        state.extend(velocity.w.as_ref().map(|w| w.as_slice()));
         state.concat().iter().map(|x| x.to_bits()).collect()
     }
 
@@ -527,8 +509,8 @@ mod tests {
         one_gray[[3, 17]] = 0.5;
         batches.push(one_gray);
 
-        // With momentum the step carries a velocity; at momentum 0 it
-        // has none and must match the dense step from a zero velocity.
+        // With momentum the step carries a weight velocity; at momentum
+        // 0 it has none and must match the dense step from a zero one.
         let trainers = [
             CdTrainer::new(1, 0.05)
                 .with_momentum(0.5)
@@ -541,13 +523,14 @@ mod tests {
             for batch in &batches {
                 let bs = batch.nrows();
                 let mut got = Rbm::random(m, n, 0.1, &mut rng);
-                let mut got_v = carried.then(|| Velocity {
-                    w: Array2::from_shape_fn((m, n), |_| rng.random_range(-0.01..0.01)),
+                let mut got_v = Velocity {
+                    w: carried
+                        .then(|| Array2::from_shape_fn((m, n), |_| rng.random_range(-0.01..0.01))),
                     bv: Array1::from_shape_fn(m, |_| rng.random_range(-0.01..0.01)),
                     bh: Array1::from_shape_fn(n, |_| rng.random_range(-0.01..0.01)),
-                });
-                let mut want = got.clone();
-                let mut want_v = got_v.clone().unwrap_or_else(|| Velocity::zeros(&got));
+                };
+                let (mut want, mut want_v) = (got.clone(), got_v.clone());
+                want_v.w.get_or_insert_with(|| Array2::zeros((m, n)));
                 // Two consecutive steps, so the second reads the first's
                 // velocity.
                 for _ in 0..2 {
@@ -557,15 +540,19 @@ mod tests {
                         binary(&mut rng, bs, n),
                     ];
                     let (got_recon, got_norm) =
-                        trainer.apply_gradients(&mut got, batch, &phases, got_v.as_mut());
+                        trainer.apply_gradients(&mut got, batch, &phases, &mut got_v);
                     let (want_recon, want_norm) =
                         dense_step(&trainer, &mut want, batch, &phases, &mut want_v);
                     assert_eq!(got_recon.to_bits(), want_recon.to_bits(), "recon, bs {bs}");
                     assert_eq!(got_norm.to_bits(), want_norm.to_bits(), "norm, bs {bs}");
                 }
+                if !carried {
+                    // Only the dense step kept a weight velocity.
+                    want_v.w = None;
+                }
                 assert_eq!(
-                    state_bits(&got, got_v.as_ref()),
-                    state_bits(&want, carried.then_some(&want_v)),
+                    state_bits(&got, &got_v),
+                    state_bits(&want, &want_v),
                     "bs {bs}, momentum {}",
                     trainer.momentum
                 );
