@@ -158,11 +158,12 @@ impl Couplings {
 }
 
 /// Writes the transpose of `a` into `t`, a strip of sixteen rows of `a`
-/// at a time: the strip (25.6 KB at 200 columns) stays in L1 while its
-/// column `j` fills sixteen adjacent entries of row `j` of `t`, two
-/// 64-byte lines written whole. With the copy in front of it, this took
-/// ~0.8× the time of 32×32 tiles at 784×200 and at 108×1024 (2-vCPU
-/// x86-64 host); 8-row strips were no faster than the tiles at 784×200.
+/// at a time (the last strip holds the rest): the strip (25.6 KB at 200
+/// columns) stays in L1 while its column `j` fills adjacent entries of
+/// row `j` of `t`, two 64-byte lines written whole. With the copy in
+/// front of it, this took ~0.85× the time of 32×32 tiles at 784×200
+/// and ~0.8× at 108×1024 (2-vCPU x86-64 host); 8-row strips were no
+/// faster than the tiles at 784×200.
 fn transpose_into(a: &Array2<f64>, t: &mut Array2<f64>) {
     const STRIP: usize = 16;
     let (m, n) = a.dim();
@@ -170,16 +171,12 @@ fn transpose_into(a: &Array2<f64>, t: &mut Array2<f64>) {
         return;
     }
     let (a, t) = (a.as_slice(), t.as_mut_slice());
-    for (s, strip) in a.chunks_exact(STRIP * n).enumerate() {
+    for (s, strip) in a.chunks(STRIP * n).enumerate() {
+        let rows = strip.len() / n;
         for (j, row) in t.chunks_exact_mut(m).enumerate() {
-            for (r, x) in row[s * STRIP..][..STRIP].iter_mut().enumerate() {
+            for (r, x) in row[s * STRIP..][..rows].iter_mut().enumerate() {
                 *x = strip[r * n + j];
             }
-        }
-    }
-    for i in m / STRIP * STRIP..m {
-        for j in 0..n {
-            t[j * m + i] = a[i * n + j];
         }
     }
 }
