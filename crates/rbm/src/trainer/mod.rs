@@ -41,8 +41,9 @@
 //! `CdTrainer` keeps a weight-sized velocity only when its momentum is
 //! non-zero: one per `train`/`train_with` call, at rest when each epoch
 //! starts. At momentum 0 (plain Algorithm 1, and every training request
-//! the service runs) the step adds `u = (g − λ·w)·α` itself, which is
-//! the velocity form `0·v + u` bit for bit (see `CdTrainer::update`).
+//! the service runs) the `W` update adds `u = (g − λ·w)·α` itself, which
+//! is the velocity form `0·v + u` bit for bit (see `CdTrainer::update`).
+//! The bias velocities (`m + n` values) serve every momentum.
 
 mod cd;
 mod ml;
