@@ -215,12 +215,14 @@ impl CdTrainer {
     /// Shared host-side gradient step (lines 17–19 of Algorithm 1 with
     /// momentum and weight decay): the common tail of every CD variant.
     ///
-    /// When the data and the phases are exactly binary ([`CoCounts`]),
-    /// each row of `W` reads its gradient entries `(a − b)/bs` from a
-    /// table of the `2·bs + 1` possible quotients, adds their squares to
-    /// the ordered Σg² chain and then updates in a pass of its own, with
-    /// no weight-sized temporary. Otherwise the dense products serve.
-    /// The bits are the same either way.
+    /// When the data and the phases are exactly binary ([`CoCounts`],
+    /// counted from each unit's bitmask of minibatch rows), each row of
+    /// `W` reads its gradient entries `(a − b)/bs` from a table of the
+    /// `2·bs + 1` possible quotients, adds their squares to the Σg²
+    /// chain in row-major order (only that order keeps the dense step's
+    /// bits) and then updates in a pass of its own, with no weight-sized
+    /// temporary. Otherwise the dense products serve. The bits are the
+    /// same either way.
     ///
     /// At momentum 0 there is no weight velocity, and `W` adds
     /// `u = (g − λ·w)·α` itself (see [`CdTrainer::update`]).

@@ -119,12 +119,13 @@ impl PcdTrainer {
     /// batch size, particle statistics by the particle count. The common
     /// tail of every PCD variant; `v⁻` becomes the new particle set.
     ///
-    /// When the data and the phases are exactly binary ([`CoCounts`]),
-    /// each row of `W` reads its gradient entries `a/bs − b/p` from two
-    /// tables of quotients, adds their squares to the ordered Σg² chain
-    /// and then updates in a pass of its own, with no weight-sized
-    /// temporary. Otherwise the dense products serve. The bits are the
-    /// same either way.
+    /// When the data and the phases are exactly binary ([`CoCounts`],
+    /// counted from each unit's bitmask of minibatch rows), each row of
+    /// `W` reads its gradient entries `a/bs − b/p` from two tables of
+    /// quotients, adds their squares to the Σg² chain in row-major order
+    /// (only that order keeps the dense step's bits) and then updates in
+    /// a pass of its own, with no weight-sized temporary. Otherwise the
+    /// dense products serve. The bits are the same either way.
     fn apply_gradients(
         &mut self,
         rbm: &mut Rbm,
